@@ -24,7 +24,6 @@ from .errors import (
     ResourceLimitError,
 )
 from .gbase import (
-    SEPARATOR,
     GBaseWord,
     Link,
     Violation,
@@ -34,10 +33,10 @@ from .gbase import (
     standard_gbase,
     validate,
 )
-from .oracle import FreeWord, free_reduce, letter_image, oracle_equal, word_image
-from .reduction import ReduceStats, find_forbidden_sequence, reduce, reduce_with_stats
+from .oracle import FreeWord, oracle_equal, word_image
+from .reduction import find_forbidden_sequence, reduce
 from .solver import is_identity, process_word, words_equal
-from .twist import LocalRun, TwistStats, apply_letter, find_local_runs, twist_link
+from .twist import TwistStats, apply_letter
 
 __all__ = [
     "BraidWord",
@@ -46,34 +45,26 @@ __all__ = [
     "InternalStateError",
     "Letter",
     "Link",
-    "LocalRun",
     "MalformedGBaseError",
     "MalformedWordError",
-    "ReduceStats",
     "ResourceLimitError",
-    "SEPARATOR",
     "TwistStats",
     "Violation",
     "apply_letter",
     "concat",
     "endpoints_permutation",
     "find_forbidden_sequence",
-    "find_local_runs",
     "format_gbase",
     "format_word",
-    "free_reduce",
     "inverse",
     "is_identity",
-    "letter_image",
     "oracle_equal",
     "parse_gbase",
     "parse_word",
     "permutation_of_word",
     "process_word",
     "reduce",
-    "reduce_with_stats",
     "standard_gbase",
-    "twist_link",
     "validate",
     "word_image",
     "words_equal",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Iterator
 
 from .bench import CSV_HEADER, bench_rows
 from .braidword import parse_word
@@ -51,13 +52,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _batch_words(args: argparse.Namespace) -> list[str]:
+def _batch_words(args: argparse.Namespace) -> Iterator[str]:
+    """The word argument, or the lines of --file one at a time as they are read."""
     if (args.word is None) == (args.file is None):
         raise MalformedWordError("pass exactly one of a word argument or --file")
     if args.word is not None:
-        return [args.word]
+        yield args.word
+        return
     with open(args.file, encoding="utf-8") as handle:
-        return [line.rstrip("\n") for line in handle]
+        for line in handle:
+            yield line.rstrip("\n")
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -74,20 +78,22 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "normal-form":
         for text in _batch_words(args):
             gbase, _ = process_word(parse_word(text, args.strands))
-            print(format_gbase(gbase))
+            print(format_gbase(gbase), flush=True)
         return 0
 
     if args.command in ("equal", "oracle-equal"):
         decide = words_equal if args.command == "equal" else oracle_equal
         verdicts = [decide(parse_word(args.word1, args.strands),
                            parse_word(args.word2, args.strands))]
-    else:  # identity; one verdict line per word in batch mode
-        verdicts = [
+    else:  # identity; one verdict line per word, printed once it is decided
+        verdicts = (
             is_identity(parse_word(text, args.strands)) for text in _batch_words(args)
-        ]
+        )
+    all_true = True
     for verdict in verdicts:
-        print("true" if verdict else "false")
-    return 0 if all(verdicts) else 1
+        print("true" if verdict else "false", flush=True)
+        all_true = all_true and verdict
+    return 0 if all_true else 1
 
 
 def main(argv: list[str] | None = None) -> int:

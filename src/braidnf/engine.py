@@ -1,7 +1,8 @@
 """Packed-integer core of the twist/reduce pipeline.
 
 Lists routinely grow to hundreds of thousands of links on tangled words, so
-the pipeline works on plain ints instead of Link tuples:
+the pipeline works on the packed codes that GBaseWord stores (gbase.link_code
+defines them):
 
     code = 3 * (point + 1) + (position + 1)
 
@@ -15,32 +16,17 @@ Handy consequences, used throughout:
                                    (point reflects across i, i+1; position
                                    flips sign; one subtraction does both)
 
-The public modules pack, call in here, and unpack at the boundary; semantics
-live in their docstrings. Counter meanings match TwistStats / ReduceStats.
+These functions take code sequences (a GBaseWord's tuple or a list) and
+return lists; they trust their input, which the public modules validate.
+Semantics live in the public docstrings; counter meanings match TwistStats.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .errors import InternalStateError
-from .gbase import Link
-
-SEPARATOR_CODE = 1
-
-
-def pack_link(link: Link) -> int:
-    return 3 * (link.point + 1) + link.position + 1
-
-
-def unpack_link(code: int) -> Link:
-    return Link(code // 3 - 1, code % 3 - 1)
-
-
-def pack(links) -> list[int]:
-    return [3 * (point + 1) + position + 1 for point, position in links]
-
-
-def unpack(codes) -> tuple[Link, ...]:
-    return tuple(Link(code // 3 - 1, code % 3 - 1) for code in codes)
+from .gbase import SEPARATOR_CODE, code_link
 
 
 def detach_codes(first: int, second: int | None, index: int) -> list[int]:
@@ -70,8 +56,8 @@ def detach_codes(first: int, second: int | None, index: int) -> list[int]:
         if second_point == index:
             return [base + 9]
     raise InternalStateError(
-        f"run after a separator starts {unpack_link(first)} -> "
-        f"{unpack_link(second) if second is not None else None}, "
+        f"run after a separator starts {code_link(first)} -> "
+        f"{code_link(second) if second is not None else None}, "
         f"which no detachment case covers"
     )
 
@@ -90,7 +76,7 @@ def postfix_codes(index: int, sign: int, to_left: bool) -> list[int]:
     return [base + 5, base + 8] if sign > 0 else [base + 3, base + 6]
 
 
-def twist_codes(codes: list[int], index: int, sign: int) -> tuple[list[int], int]:
+def twist_codes(codes: Sequence[int], index: int, sign: int) -> tuple[list[int], int]:
     """Apply one half-twist; returns the unreduced list and the insert count.
 
     Single pass: links outside the twisted region are copied through, each
@@ -128,7 +114,7 @@ def twist_codes(codes: list[int], index: int, sign: int) -> tuple[list[int], int
             )
             before = added[0]
             out.append(before)
-            run = added[1:] + run
+            run = [*added[1:], *run]
             inserted += len(added)
         out += pre_left if before // 3 - 1 == left_point else pre_right
         out += [mirror - c for c in run]
@@ -137,7 +123,7 @@ def twist_codes(codes: list[int], index: int, sign: int) -> tuple[list[int], int
     return out, inserted
 
 
-def reduce_codes(codes: list[int]) -> tuple[list[int], int, int]:
+def reduce_codes(codes: Sequence[int]) -> tuple[list[int], int, int]:
     """Run the four deletion rules to fixpoint; returns (out, visited, deleted).
 
     One pass over a stack: each incoming link is weighed against the stack
@@ -158,7 +144,7 @@ def reduce_codes(codes: list[int]) -> tuple[list[int], int, int]:
             if top == code:  # R1: equal pair vanishes
                 if top % 3 == 1:
                     raise InternalStateError(
-                        f"adjacent equal position-0 links {unpack_link(top)}"
+                        f"adjacent equal position-0 links {code_link(top)}"
                     )
                 out.pop()
                 deleted += 2
@@ -171,7 +157,7 @@ def reduce_codes(codes: list[int]) -> tuple[list[int], int, int]:
             if top_position == 1 and top != SEPARATOR_CODE and code != SEPARATOR_CODE:
                 if code % 3 == 1:  # R3 must never swallow an endpoint
                     raise InternalStateError(
-                        f"position-0 link {unpack_link(code)} in endpoint debris"
+                        f"position-0 link {code_link(code)} in endpoint debris"
                     )
                 deleted += 1
                 break

@@ -8,6 +8,14 @@ The basepoint is written (-1, 0) and doubles as the separator between the n
 paths; the whole g-base is one flat list that starts and ends with a
 separator.
 
+GBaseWord stores each link as one packed int,
+
+    code = 3 * (point + 1) + (position + 1),
+
+so the separator is code 1. The twist/reduce engine works on these codes
+directly; link_code and code_link are the only conversions, and Link tuples
+are built only on demand (links, paths(), error messages).
+
 Conventions that make the encoding canonical:
   * a path never leaves the basepoint through a below-pass, so a separator is
     never directly followed by a (j, -1) link in reduced lists;
@@ -35,26 +43,51 @@ class Link(NamedTuple):
 SEPARATOR = Link(-1, 0)
 
 
+def link_code(point: int, position: int) -> int:
+    """Packed code of the link (point, position); position must be -1, 0 or +1."""
+    return 3 * (point + 1) + position + 1
+
+
+def code_link(code: int) -> Link:
+    """The link a packed code stands for; inverse of link_code."""
+    return Link(code // 3 - 1, code % 3 - 1)
+
+
+SEPARATOR_CODE = link_code(-1, 0)
+
+
 @dataclasses.dataclass(frozen=True)
 class GBaseWord:
+    """A g-base list over `strand_count` strands, one packed code per link.
+
+    `codes` may be given as any sequence; it is stored as a tuple, so equal
+    lists compare and hash equal.
+    """
     strand_count: int
-    links: tuple[Link, ...]
+    codes: tuple[int, ...]
 
     def __post_init__(self):
         if self.strand_count < 1:
             raise MalformedGBaseError(f"strand count must be >= 1, got {self.strand_count}")
+        object.__setattr__(self, "codes", tuple(self.codes))
 
     def __len__(self) -> int:
-        return len(self.links)
+        return len(self.codes)
+
+    @property
+    def links(self) -> tuple[Link, ...]:
+        """The list as Link tuples, built on each access."""
+        return tuple(map(code_link, self.codes))
 
     def paths(self) -> Iterator[tuple[Link, ...]]:
         """Yield the separator-delimited paths, in list order."""
+        links = self.links
         start = None
-        for k, link in enumerate(self.links):
+        for k, link in enumerate(links):
             if link != SEPARATOR:
                 continue
             if start is not None:
-                yield self.links[start:k]
+                yield links[start:k]
             start = k + 1
 
 
@@ -76,11 +109,10 @@ def standard_gbase(strand_count: int) -> GBaseWord:
     """
     if strand_count < 1:
         raise MalformedGBaseError(f"strand count must be >= 1, got {strand_count}")
-    links = [SEPARATOR]
+    codes = [SEPARATOR_CODE]
     for point in range(1, strand_count + 1):
-        links.append(Link(point, 0))
-        links.append(SEPARATOR)
-    return GBaseWord(strand_count, tuple(links))
+        codes += (link_code(point, 0), SEPARATOR_CODE)
+    return GBaseWord(strand_count, codes)
 
 
 def validate(gbase: GBaseWord, reduced_expected: bool = False) -> Violation | None:
@@ -168,12 +200,14 @@ def endpoints_permutation(gbase: GBaseWord) -> tuple[int, ...]:
 
 def format_gbase(gbase: GBaseWord) -> str:
     """Emit the full list, "(p,q)" tokens joined by single spaces."""
-    return " ".join(str(link) for link in gbase.links)
+    # one token per distinct code, decoded as in code_link
+    tokens = {code: f"({code // 3 - 1},{code % 3 - 1})" for code in set(gbase.codes)}
+    return " ".join([tokens[code] for code in gbase.codes])
 
 
 def parse_gbase(text: str, strand_count: int) -> GBaseWord:
     """Parse the text form and check structural validity."""
-    links = []
+    codes = []
     for token in text.split():
         if not (token.startswith("(") and token.endswith(")") and token.count(",") == 1):
             raise MalformedGBaseError(f"token {token!r} is not of the form (p,q)")
@@ -186,7 +220,8 @@ def parse_gbase(text: str, strand_count: int) -> GBaseWord:
             raise MalformedGBaseError(f"token {token!r}: position {position} out of range")
         if point < -1:
             raise MalformedGBaseError(f"token {token!r}: point {point} out of range")
-        links.append(Link(point, position))
-    gbase = GBaseWord(strand_count, tuple(links))
+        # the range checks come first: out-of-range pairs alias valid codes
+        codes.append(link_code(point, position))
+    gbase = GBaseWord(strand_count, codes)
     require_valid(gbase)
     return gbase

@@ -24,44 +24,17 @@ equality.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Sequence
 
 from . import engine
 from .gbase import GBaseWord, Link, require_valid
 
 
-@dataclasses.dataclass
-class ReduceStats:
-    links_visited: int = 0
-    links_deleted: int = 0
-
-
-def reduce_links(links: Sequence[Link], stats: ReduceStats | None = None) -> list[Link]:
-    """Run the deletion rules to fixpoint on a raw link sequence.
-
-    This is the core scanner; it trusts its input (any separator-delimited
-    sequence of paths, also fragments of a full g-base list). Use reduce() for
-    validated GBaseWord values.
-    """
-    out, visited, deleted = engine.reduce_codes(engine.pack(links))
-    if stats is not None:
-        stats.links_visited += visited
-        stats.links_deleted += deleted
-    return list(engine.unpack(out))
-
-
 def reduce(gbase: GBaseWord) -> GBaseWord:
     """Reduce a structurally valid (possibly unreduced) g-base to normal form."""
-    reduced, _ = reduce_with_stats(gbase)
-    return reduced
-
-
-def reduce_with_stats(gbase: GBaseWord) -> tuple[GBaseWord, ReduceStats]:
     require_valid(gbase)
-    stats = ReduceStats()
-    out = reduce_links(gbase.links, stats)
-    return GBaseWord(gbase.strand_count, tuple(out)), stats
+    codes, _, _ = engine.reduce_codes(gbase.codes)
+    return GBaseWord(gbase.strand_count, codes)
 
 
 def find_forbidden_sequence(links: Sequence[Link]) -> int | None:

@@ -21,7 +21,7 @@ def process_word(word: BraidWord) -> tuple[GBaseWord, list[TwistStats]]:
     Returns the final reduced g-base and one stats record per letter (twist
     counters plus the reduce counters of the normalization that followed).
     """
-    codes = engine.pack(standard_gbase(word.strand_count).links)
+    codes = standard_gbase(word.strand_count).codes
     per_letter: list[TwistStats] = []
     for letter in word.letters:
         visited = len(codes)
@@ -36,7 +36,7 @@ def process_word(word: BraidWord) -> tuple[GBaseWord, list[TwistStats]]:
                 reduce_links_deleted=deleted,
             )
         )
-    return GBaseWord(word.strand_count, engine.unpack(codes)), per_letter
+    return GBaseWord(word.strand_count, codes), per_letter
 
 
 def words_equal(first: BraidWord, second: BraidWord) -> bool:

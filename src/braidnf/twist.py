@@ -22,8 +22,8 @@ Runs are located against the input list and the scan resumes after each
 run's connector, so links inserted by one run are never re-twisted. The
 output is unreduced; callers normalize it afterwards.
 
-The heavy lifting happens in the packed-integer engine; this module is the
-typed boundary plus the run scanner.
+The pass itself is engine.twist_codes; this module checks the input and
+wraps the engine's codes in a GBaseWord.
 """
 
 from __future__ import annotations
@@ -32,16 +32,7 @@ import dataclasses
 
 from . import engine
 from .braidword import Letter
-from .gbase import GBaseWord, Link
-
-
-@dataclasses.dataclass(frozen=True)
-class LocalRun:
-    """A maximal block links[start..end] with points in {i, i+1} and its neighbours."""
-    start: int
-    end: int
-    before: int  # index of the link just before the run
-    after: int   # index of the link just after the run
+from .gbase import GBaseWord, require_valid
 
 
 @dataclasses.dataclass
@@ -60,74 +51,23 @@ class TwistStats:
     reduce_links_deleted: int = 0
 
 
-def find_local_runs(gbase: GBaseWord, index: int) -> list[LocalRun]:
-    """Maximal runs of links with point in {index, index+1}, left to right."""
-    if not 1 <= index <= gbase.strand_count - 1:
-        raise ValueError(f"generator index {index} out of range for {gbase.strand_count} strands")
-    runs = []
-    points = (index, index + 1)
-    start = None
-    for k, link in enumerate(gbase.links):
-        if link.point in points:
-            if start is None:
-                start = k
-        elif start is not None:
-            runs.append(LocalRun(start, k - 1, start - 1, k))
-            start = None
-    # the list ends with a separator, so a run never reaches the last index
-    return runs
-
-
-def twist_link(link: Link, index: int) -> Link:
-    """Rotate one link by the half-twist at index: flip position, reflect point."""
-    return engine.unpack_link(6 * index + 11 - engine.pack_link(link))
-
-
-def separator_detach_links(first: Link, second: Link | None, index: int) -> list[Link]:
-    """Links to insert after a separator that directly precedes a run.
-
-    `first` is the run's first link and `second` the next link of the path.
-    The returned links follow the separator in order; the first one becomes
-    the run's new predecessor, and any further link (its point is always i or
-    i+1) joins the run and is rotated with it.
-    """
-    codes = engine.detach_codes(
-        engine.pack_link(first),
-        engine.pack_link(second) if second is not None else None,
-        index,
-    )
-    return [engine.unpack_link(code) for code in codes]
-
-
-def prefix_links(index: int, sign: int, before_point: int) -> list[Link]:
-    """Connector spliced between the run's predecessor and the rotated run."""
-    codes = engine.prefix_codes(index, sign, before_point == index - 1)
-    return [engine.unpack_link(code) for code in codes]
-
-
-def postfix_links(index: int, sign: int, after_point: int) -> list[Link]:
-    """Connector spliced between the rotated run and its successor."""
-    codes = engine.postfix_codes(index, sign, after_point == index - 1)
-    return [engine.unpack_link(code) for code in codes]
-
-
 def apply_letter(gbase: GBaseWord, letter: Letter) -> tuple[GBaseWord, TwistStats]:
     """Apply one letter's half-twist to a reduced g-base; returns the unreduced result.
 
     The input must be reduced: the detachment patterns of step 1 assume the
-    conventions that reduction enforces.
+    conventions that reduction enforces, so anything else raises
+    MalformedGBaseError.
     """
     if not 1 <= letter.index <= gbase.strand_count - 1:
         raise ValueError(
             f"generator index {letter.index} out of range for "
             f"{gbase.strand_count} strands"
         )
-    codes, inserted = engine.twist_codes(
-        engine.pack(gbase.links), letter.index, letter.sign
-    )
+    require_valid(gbase, reduced_expected=True)
+    codes, inserted = engine.twist_codes(gbase.codes, letter.index, letter.sign)
     stats = TwistStats(
-        links_visited=len(gbase.links),
+        links_visited=len(gbase),
         links_inserted=inserted,
         pre_reduce_length=len(codes),
     )
-    return GBaseWord(gbase.strand_count, engine.unpack(codes)), stats
+    return GBaseWord(gbase.strand_count, codes), stats

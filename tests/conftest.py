@@ -7,7 +7,7 @@ import random
 from hypothesis import strategies as st
 
 from braidnf.braidword import BraidWord, Letter
-from braidnf.gbase import SEPARATOR, GBaseWord, Link
+from braidnf.gbase import SEPARATOR, GBaseWord, Link, code_link, link_code
 
 
 def word_from_ints(strand_count: int, values: tuple[int, ...] | list[int]) -> BraidWord:
@@ -15,6 +15,22 @@ def word_from_ints(strand_count: int, values: tuple[int, ...] | list[int]) -> Br
         strand_count,
         tuple(Letter(abs(v), 1 if v > 0 else -1) for v in values),
     )
+
+
+# -- Link <-> code conversion for tests written in terms of links -------------
+
+def codes_of(links) -> list[int]:
+    """Packed codes of Links or (point, position) pairs."""
+    return [link_code(point, position) for point, position in links]
+
+
+def links_of(codes) -> list[Link]:
+    return [code_link(code) for code in codes]
+
+
+def gbase_of(strand_count: int, links) -> GBaseWord:
+    # a list on purpose: GBaseWord must store it as a tuple
+    return GBaseWord(strand_count, codes_of(links))
 
 
 @st.composite
@@ -46,7 +62,7 @@ def random_valid_gbase(rng: random.Random, max_strands=6) -> GBaseWord:
         for _ in range(rng.randint(0, 3) if rng.random() < 0.3 else 0):  # debris
             links.append(Link(rng.randint(1, n), rng.choice((-1, 1))))
         links.append(SEPARATOR)
-    return GBaseWord(n, tuple(links))
+    return gbase_of(n, links)
 
 
 @st.composite

@@ -69,10 +69,26 @@ def test_normal_form_batch_file(tmp_path, capsys):
     ]
 
 
-def test_word_and_file_together_exit_2(capsys):
-    code, _, err = run(capsys, "identity", "--strands", "2", "1", "--file", "x")
+def test_batch_file_prints_results_before_a_malformed_line(tmp_path, capsys):
+    path = tmp_path / "words.txt"
+    path.write_text("1 -1\n1\n5\n", encoding="utf-8")
+    code, out, err = run(capsys, "normal-form", "--strands", "2", "--file", str(path))
     assert code == 2
-    assert "exactly one" in err
+    assert out.splitlines() == [
+        "(-1,0) (1,0) (-1,0) (2,0) (-1,0)",
+        "(-1,0) (2,0) (-1,0) (2,1) (1,0) (-1,0)",
+    ]
+    assert "error" in err
+    code, out, err = run(capsys, "identity", "--strands", "2", "--file", str(path))
+    assert (code, out) == (2, "true\nfalse\n")
+    assert "error" in err
+
+
+def test_word_and_file_together_exit_2(capsys):
+    for verb in ("identity", "normal-form"):
+        code, out, err = run(capsys, verb, "--strands", "2", "1", "--file", "x")
+        assert (code, out) == (2, "")
+        assert "exactly one" in err
 
 
 def test_missing_file_exits_2(capsys):

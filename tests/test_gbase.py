@@ -4,7 +4,6 @@ from hypothesis import given
 from braidnf.errors import MalformedGBaseError
 from braidnf.gbase import (
     SEPARATOR,
-    GBaseWord,
     Link,
     endpoints_permutation,
     format_gbase,
@@ -13,8 +12,9 @@ from braidnf.gbase import (
     validate,
 )
 from braidnf.reduction import reduce
+from braidnf.solver import process_word
 
-from conftest import valid_gbases
+from conftest import braid_words, gbase_of, valid_gbases
 
 FIGURE_TEXT = (
     "(-1,0) (1,1) (2,0) (-1,0) (1,0) (-1,0) (4,0) (-1,0) (4,1) (3,0) (-1,0)"
@@ -45,7 +45,7 @@ def test_standard_gbase_is_reduced_straight_segment_encoding(n):
         raw.extend(Link(j, -1) for j in range(1, point))
         raw.append(Link(point, 0))
         raw.append(SEPARATOR)
-    assert reduce(GBaseWord(n, tuple(raw))) == standard_gbase(n)
+    assert reduce(gbase_of(n, raw)) == standard_gbase(n)
     assert validate(standard_gbase(n), reduced_expected=True) is None
 
 
@@ -59,7 +59,7 @@ def test_validate_accepts_standard():
 
 
 def test_validate_flags_below_pass_after_separator():
-    g = GBaseWord(1, links((-1, 0), (1, -1), (1, 0), (-1, 0)))
+    g = gbase_of(1, links((-1, 0), (1, -1), (1, 0), (-1, 0)))
     assert validate(g) is None  # structurally fine, just unreduced
     violation = validate(g, reduced_expected=True)
     assert violation is not None and violation.index == 1
@@ -67,7 +67,7 @@ def test_validate_flags_below_pass_after_separator():
 
 
 def test_validate_flags_repeated_endpoint():
-    g = GBaseWord(2, links((-1, 0), (1, 0), (-1, 0), (1, 0), (-1, 0)))
+    g = gbase_of(2, links((-1, 0), (1, 0), (-1, 0), (1, 0), (-1, 0)))
     violation = validate(g)
     assert violation is not None and "permutation" in violation.reason
 
@@ -87,7 +87,7 @@ def test_validate_flags_repeated_endpoint():
     ],
 )
 def test_validate_flags_structural_violations(n, pairs, fragment):
-    g = GBaseWord(n, links(*pairs))
+    g = gbase_of(n, pairs)
     violation = validate(g)
     assert violation is not None
     assert fragment in violation.reason
@@ -115,9 +115,24 @@ def test_parse_rejects_structurally_invalid():
         parse_gbase("(-1,0) (1,0) (-1,0) (1,0) (-1,0)", 2)
 
 
+def test_parse_rejects_out_of_range_pair_that_aliases_a_valid_code():
+    # (0,2) packs to the code of (1,-1), which would make this a valid list
+    assert gbase_of(1, [(0, 2)]).codes == gbase_of(1, [(1, -1)]).codes
+    with pytest.raises(MalformedGBaseError):
+        parse_gbase("(-1,0) (0,2) (1,0) (-1,0)", 1)
+
+
 @given(valid_gbases())
 def test_parse_format_round_trip(gbase):
     assert parse_gbase(format_gbase(gbase), gbase.strand_count) == gbase
+
+
+@given(braid_words(max_strands=6, max_length=10))
+def test_links_and_text_rebuild_equal_values(word):
+    g, _ = process_word(word)
+    rebuilt = gbase_of(g.strand_count, g.links)
+    assert rebuilt == g and hash(rebuilt) == hash(g)
+    assert parse_gbase(format_gbase(g), g.strand_count) == g
 
 
 def test_endpoints_permutation_standard_is_identity():

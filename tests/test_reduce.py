@@ -3,21 +3,29 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from braidnf import engine
 from braidnf.errors import InternalStateError, MalformedGBaseError
-from braidnf.gbase import GBaseWord, Link, standard_gbase, validate
-from braidnf.reduction import (
-    ReduceStats,
-    find_forbidden_sequence,
-    reduce,
-    reduce_links,
-    reduce_with_stats,
-)
+from braidnf.gbase import Link, standard_gbase, validate
+from braidnf.reduction import find_forbidden_sequence, reduce
 
-from conftest import chaotic_reduce, random_valid_gbase, valid_gbases
+from conftest import (
+    chaotic_reduce,
+    codes_of,
+    gbase_of,
+    links_of,
+    random_valid_gbase,
+    valid_gbases,
+)
 
 
 def links(*pairs):
     return [Link(p, q) for p, q in pairs]
+
+
+def reduce_fragment(fragment):
+    """The engine's reducer on a separator-delimited fragment of a list."""
+    out, _, _ = engine.reduce_codes(codes_of(fragment))
+    return links_of(out)
 
 
 # -- spec'd example behavior --------------------------------------------------
@@ -27,20 +35,16 @@ def test_reduce_twist_debris_path():
     fragment = links(
         (-1, 0), (0, -1), (1, -1), (2, -1), (2, 0), (1, 1), (2, 1), (-1, 0)
     )
-    assert reduce_links(fragment) == links((-1, 0), (2, 0), (-1, 0))
+    assert reduce_fragment(fragment) == links((-1, 0), (2, 0), (-1, 0))
 
 
 def test_reduce_equal_pair_path():
     fragment = links((-1, 0), (3, 1), (3, 1), (2, 0), (-1, 0))
-    assert reduce_links(fragment) == links((-1, 0), (2, 0), (-1, 0))
+    assert reduce_fragment(fragment) == links((-1, 0), (2, 0), (-1, 0))
     # same rewrite inside a complete list
-    g = GBaseWord(
+    g = gbase_of(
         3,
-        tuple(
-            links(
-                (-1, 0), (3, 1), (3, 1), (2, 0), (-1, 0), (1, 0), (-1, 0), (3, 0), (-1, 0)
-            )
-        ),
+        links((-1, 0), (3, 1), (3, 1), (2, 0), (-1, 0), (1, 0), (-1, 0), (3, 0), (-1, 0)),
     )
     assert reduce(g).links == tuple(
         links((-1, 0), (2, 0), (-1, 0), (1, 0), (-1, 0), (3, 0), (-1, 0))
@@ -49,7 +53,7 @@ def test_reduce_equal_pair_path():
 
 def test_reduce_near_pass_before_endpoint():
     fragment = links((-1, 0), (2, 1), (2, 0), (-1, 0))
-    assert reduce_links(fragment) == links((-1, 0), (2, 0), (-1, 0))
+    assert reduce_fragment(fragment) == links((-1, 0), (2, 0), (-1, 0))
 
 
 def test_reduce_fixpoint_on_reduced_input():
@@ -58,14 +62,14 @@ def test_reduce_fixpoint_on_reduced_input():
 
 
 def test_reduce_rejects_structurally_invalid():
-    g = GBaseWord(2, tuple(links((-1, 0), (1, 0), (-1, 0), (1, 0), (-1, 0))))
+    g = gbase_of(2, links((-1, 0), (1, 0), (-1, 0), (1, 0), (-1, 0)))
     with pytest.raises(MalformedGBaseError):
         reduce(g)
 
 
 def test_reduce_core_raises_on_equal_position0_links():
     with pytest.raises(InternalStateError):
-        reduce_links(links((-1, 0), (-1, 0)))
+        reduce_fragment(links((-1, 0), (-1, 0)))
 
 
 @settings(max_examples=300)
@@ -95,17 +99,16 @@ def test_reduce_matches_randomized_rule_order(gbase):
 @settings(max_examples=200)
 @given(valid_gbases())
 def test_reduce_visit_budget(gbase):
-    _, stats = reduce_with_stats(gbase)
-    assert stats.links_visited <= 2 * len(gbase.links) + 2 * stats.links_deleted
+    _, visited, deleted = engine.reduce_codes(gbase.codes)
+    assert visited <= 2 * len(gbase) + 2 * deleted
 
 
 def test_reduce_visit_budget_large_random():
     rng = random.Random(11)
     for _ in range(500):
         g = random_valid_gbase(rng)
-        stats = ReduceStats()
-        reduce_links(g.links, stats)
-        assert stats.links_visited <= 2 * len(g.links) + 2 * stats.links_deleted
+        _, visited, deleted = engine.reduce_codes(g.codes)
+        assert visited <= 2 * len(g) + 2 * deleted
 
 
 def test_forbidden_sequence_scan():

@@ -1,23 +1,18 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from braidnf import engine
 from braidnf.braidword import Letter
-from braidnf.errors import InternalStateError
+from braidnf.errors import InternalStateError, MalformedGBaseError
 from braidnf.gbase import SEPARATOR, GBaseWord, Link, standard_gbase, validate
 from braidnf.reduction import reduce
 from braidnf.solver import process_word
-from braidnf.twist import (
-    LocalRun,
-    apply_letter,
-    find_local_runs,
-    postfix_links,
-    prefix_links,
-    separator_detach_links,
-    twist_link,
-)
+from braidnf.twist import apply_letter
 
-from conftest import braid_words
+from conftest import braid_words, codes_of, gbase_of, links_of, word_from_ints
 
 SIGMA1_UNREDUCED_N2 = (
     "(-1,0) (0,-1) (1,-1) (2,-1) (2,0) (1,1) (2,1) "
@@ -29,13 +24,84 @@ def links(*pairs):
     return tuple(Link(p, q) for p, q in pairs)
 
 
+# -- Link-level reference for the engine's single-pass twist ------------------
+
+@dataclasses.dataclass(frozen=True)
+class LocalRun:
+    """A maximal block links[start..end] with points in {i, i+1} and its neighbours."""
+    start: int
+    end: int
+    before: int  # index of the link just before the run
+    after: int   # index of the link just after the run
+
+
+def find_local_runs(gbase: GBaseWord, index: int) -> list[LocalRun]:
+    """Maximal runs of links with point in {index, index+1}, left to right."""
+    if not 1 <= index <= gbase.strand_count - 1:
+        raise ValueError(f"generator index {index} out of range for {gbase.strand_count} strands")
+    runs = []
+    points = (index, index + 1)
+    start = None
+    for k, link in enumerate(gbase.links):
+        if link.point in points:
+            if start is None:
+                start = k
+        elif start is not None:
+            runs.append(LocalRun(start, k - 1, start - 1, k))
+            start = None
+    # the list ends with a separator, so a run never reaches the last index
+    return runs
+
+
+def twist_link(link: Link, index: int) -> Link:
+    """Rotate one link by the half-twist at index: reflect its point across
+    index + 1/2 and flip its position."""
+    return Link(2 * index + 1 - link.point, -link.position)
+
+
+def detach(first: Link, second: Link, index: int) -> list[Link]:
+    first_code, second_code = codes_of([first, second])
+    return links_of(engine.detach_codes(first_code, second_code, index))
+
+
+def prefix(index: int, sign: int, before_point: int) -> list[Link]:
+    return links_of(engine.prefix_codes(index, sign, before_point == index - 1))
+
+
+def postfix(index: int, sign: int, after_point: int) -> list[Link]:
+    return links_of(engine.postfix_codes(index, sign, after_point == index - 1))
+
+
+def reference_apply(gbase, letter):
+    # straightforward run-by-run composition of the pieces
+    i = letter.index
+    links = gbase.links
+    out = []
+    cursor = 0
+    for run in find_local_runs(gbase, i):
+        out.extend(links[cursor:run.start])
+        run_links = list(links[run.start:run.end + 1])
+        before = links[run.before]
+        if before == SEPARATOR:
+            added = detach(run_links[0], links[run.start + 1], i)
+            before = added[0]
+            out.append(before)
+            run_links = added[1:] + run_links
+        out.extend(prefix(i, letter.sign, before.point))
+        out.extend(twist_link(link, i) for link in run_links)
+        out.extend(postfix(i, letter.sign, links[run.after].point))
+        cursor = run.end + 1
+    out.extend(links[cursor:])
+    return tuple(out)
+
+
 def test_find_runs_standard():
     runs = find_local_runs(standard_gbase(4), 2)
     assert runs == [LocalRun(3, 3, 2, 4), LocalRun(5, 5, 4, 6)]
 
 
 def test_find_runs_spanning_two_points():
-    g = GBaseWord(3, links((-1, 0), (3, 1), (2, 0), (-1, 0), (1, 0), (-1, 0), (3, 0), (-1, 0)))
+    g = gbase_of(3, links((-1, 0), (3, 1), (2, 0), (-1, 0), (1, 0), (-1, 0), (3, 0), (-1, 0)))
     runs = find_local_runs(g, 2)
     assert runs[0] == LocalRun(1, 2, 0, 3)
     assert g.links[runs[0].before] == SEPARATOR
@@ -69,15 +135,15 @@ def test_find_runs_rejects_bad_index():
     ],
 )
 def test_separator_detach_cases(first, second, i, expected):
-    out = separator_detach_links(Link(*first), Link(*second), i)
+    out = detach(Link(*first), Link(*second), i)
     assert out == [Link(*pair) for pair in expected]
 
 
 def test_separator_detach_rejects_uncovered_pattern():
     with pytest.raises(InternalStateError):
-        separator_detach_links(Link(2, -1), Link(1, 0), 2)
+        detach(Link(2, -1), Link(1, 0), 2)
     with pytest.raises(InternalStateError):
-        separator_detach_links(Link(2, 1), Link(2, -1), 2)
+        detach(Link(2, 1), Link(2, -1), 2)
 
 
 @pytest.mark.parametrize(
@@ -95,15 +161,15 @@ def test_twist_link_involution(point, position, i):
 
 
 def test_connector_tables():
-    assert prefix_links(1, 1, 0) == [Link(1, -1), Link(2, -1)]
-    assert prefix_links(1, 1, 3) == [Link(2, 1), Link(1, 1)]
-    assert prefix_links(2, -1, 1) == [Link(2, 1), Link(3, 1)]
-    assert prefix_links(2, -1, 4) == [Link(3, -1), Link(2, -1)]
-    assert postfix_links(2, 1, 1) == [Link(3, -1), Link(2, -1)]
-    assert postfix_links(2, 1, 4) == [Link(2, 1), Link(3, 1)]
-    assert postfix_links(1, -1, 0) == [Link(2, 1), Link(1, 1)]
+    assert prefix(1, 1, 0) == [Link(1, -1), Link(2, -1)]
+    assert prefix(1, 1, 3) == [Link(2, 1), Link(1, 1)]
+    assert prefix(2, -1, 1) == [Link(2, 1), Link(3, 1)]
+    assert prefix(2, -1, 4) == [Link(3, -1), Link(2, -1)]
+    assert postfix(2, 1, 1) == [Link(3, -1), Link(2, -1)]
+    assert postfix(2, 1, 4) == [Link(2, 1), Link(3, 1)]
+    assert postfix(1, -1, 0) == [Link(2, 1), Link(1, 1)]
     # successor is the separator: routed right, reduced away afterwards
-    assert postfix_links(1, -1, -1) == [Link(1, -1), Link(2, -1)]
+    assert postfix(1, -1, -1) == [Link(1, -1), Link(2, -1)]
 
 
 def test_apply_letter_full_trace():
@@ -126,10 +192,21 @@ def test_apply_letter_rejects_out_of_range_index():
         apply_letter(standard_gbase(2), Letter(2, 1))
 
 
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(1, 0), (-1, 0), (2, 0), (-1, 0)],  # no leading separator
+        [(-1, 0), (1, 0), (-1, 0), (2, 0)],  # no trailing separator
+        [(-1, 0), (1, -1), (1, 0), (-1, 0), (2, 0), (-1, 0)],  # unreduced
+    ],
+)
+def test_apply_letter_rejects_malformed_input(pairs):
+    with pytest.raises(MalformedGBaseError):
+        apply_letter(gbase_of(2, pairs), Letter(1, 1))
+
+
 def test_apply_letter_leaves_untouched_paths_alone():
     # a path holding no link with point in {i, i+1} is not affected at all
-    from conftest import word_from_ints
-
     g, _ = process_word(word_from_ints(4, [3, -2, 3]))
     unreduced, _ = apply_letter(g, Letter(1, 1))
     touched = {1, 2}
@@ -161,29 +238,6 @@ def test_positive_then_negative_twist_is_identity(word):
             once = reduce(apply_letter(g, Letter(index, first))[0])
             back = reduce(apply_letter(once, Letter(index, -first))[0])
             assert back == g
-
-
-def reference_apply(gbase, letter):
-    # straightforward run-by-run composition of the public pieces
-    i = letter.index
-    out = []
-    cursor = 0
-    for run in find_local_runs(gbase, i):
-        out.extend(gbase.links[cursor:run.start])
-        run_links = list(gbase.links[run.start:run.end + 1])
-        before = gbase.links[run.before]
-        if before == SEPARATOR:
-            second = gbase.links[run.start + 1] if run.start + 1 < len(gbase.links) else None
-            added = separator_detach_links(run_links[0], second, i)
-            before = added[0]
-            out.append(before)
-            run_links = added[1:] + run_links
-        out.extend(prefix_links(i, letter.sign, before.point))
-        out.extend(twist_link(link, i) for link in run_links)
-        out.extend(postfix_links(i, letter.sign, gbase.links[run.after].point))
-        cursor = run.end + 1
-    out.extend(gbase.links[cursor:])
-    return tuple(out)
 
 
 @given(braid_words(max_strands=7, max_length=12))
