@@ -34,7 +34,7 @@ from .gbase import (
     validate,
 )
 from .oracle import FreeWord, oracle_equal, word_image
-from .reduction import find_forbidden_sequence, reduce
+from .reduction import reduce
 from .solver import is_identity, process_word, words_equal
 from .twist import TwistStats, apply_letter
 
@@ -53,7 +53,6 @@ __all__ = [
     "apply_letter",
     "concat",
     "endpoints_permutation",
-    "find_forbidden_sequence",
     "format_gbase",
     "format_word",
     "inverse",

@@ -109,9 +109,12 @@ def twist_codes(codes: Sequence[int], index: int, sign: int) -> tuple[list[int],
         run = codes[start:k]
         before = codes[start - 1]
         if before == SEPARATOR_CODE:
-            added = detach_codes(
-                codes[start], codes[start + 1] if start + 1 < total else None, index
-            )
+            try:
+                added = detach_codes(
+                    codes[start], codes[start + 1] if start + 1 < total else None, index
+                )
+            except InternalStateError as error:
+                raise InternalStateError(f"link {start}: {error}") from error
             before = added[0]
             out.append(before)
             run = [*added[1:], *run]
@@ -144,7 +147,8 @@ def reduce_codes(codes: Sequence[int]) -> tuple[list[int], int, int]:
             if top == code:  # R1: equal pair vanishes
                 if top % 3 == 1:
                     raise InternalStateError(
-                        f"adjacent equal position-0 links {code_link(top)}"
+                        f"adjacent equal position-0 links {code_link(top)} "
+                        f"at output offset {len(out)}"
                     )
                 out.pop()
                 deleted += 2
@@ -157,7 +161,8 @@ def reduce_codes(codes: Sequence[int]) -> tuple[list[int], int, int]:
             if top_position == 1 and top != SEPARATOR_CODE and code != SEPARATOR_CODE:
                 if code % 3 == 1:  # R3 must never swallow an endpoint
                     raise InternalStateError(
-                        f"position-0 link {code_link(code)} in endpoint debris"
+                        f"position-0 link {code_link(code)} in endpoint debris "
+                        f"at output offset {len(out)}"
                     )
                 deleted += 1
                 break

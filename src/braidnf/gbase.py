@@ -128,60 +128,54 @@ def validate(gbase: GBaseWord, reduced_expected: bool = False) -> Violation | No
     or adjacent equal links may remain.
     """
     n = gbase.strand_count
-    links = gbase.links
-    if not links or links[0] != SEPARATOR:
+    codes = gbase.codes
+    if not codes or codes[0] != SEPARATOR_CODE:
         return Violation(0, "list must start with the separator (-1,0)")
-    if links[-1] != SEPARATOR:
-        return Violation(len(links) - 1, "list must end with the separator (-1,0)")
+    if codes[-1] != SEPARATOR_CODE:
+        return Violation(len(codes) - 1, "list must end with the separator (-1,0)")
 
     separators = 0
     endpoints: list[int] = []
     endpoint_seen = False
-    for k, link in enumerate(links):
-        if link.position not in (-1, 0, 1):
-            return Violation(k, f"position {link.position} out of range")
-        if link.point == -1:
-            if link != SEPARATOR:
-                return Violation(k, f"basepoint link must be (-1,0), got {link}")
+    for k, code in enumerate(codes):
+        point = code // 3 - 1
+        if point == -1:
+            if code != SEPARATOR_CODE:
+                return Violation(k, f"basepoint link must be (-1,0), got {code_link(code)}")
             if separators and not endpoint_seen:
                 return Violation(k, "path has no endpoint link")
             separators += 1
             endpoint_seen = False
             continue
-        if separators == 0:
-            return Violation(k, "link before the leading separator")
-        if not 0 <= link.point <= n + 1:
-            return Violation(k, f"point {link.point} out of range for {n} strands")
-        if link.point in (0, n + 1):
-            if link.position != -1:
-                return Violation(k, f"virtual point {link.point} must have position -1")
-            if links[k - 1] != SEPARATOR:
-                return Violation(k, f"virtual point {link.point} not adjacent to a separator")
-        if link.position == 0:
+        if not 0 <= point <= n + 1:
+            return Violation(k, f"point {point} out of range for {n} strands")
+        if point == 0 or point == n + 1:
+            if code % 3 != 0:
+                return Violation(k, f"virtual point {point} must have position -1")
+            if codes[k - 1] != SEPARATOR_CODE:
+                return Violation(k, f"virtual point {point} not adjacent to a separator")
+        elif code % 3 == 1:
             if endpoint_seen:
                 return Violation(k, "second position-0 link in one path")
-            if not 1 <= link.point <= n:
-                return Violation(k, f"endpoint point {link.point} out of range")
             endpoint_seen = True
-            endpoints.append(link.point)
+            endpoints.append(point)
 
     if separators != n + 1:
-        return Violation(len(links) - 1, f"expected {n + 1} separators, found {separators}")
+        return Violation(len(codes) - 1, f"expected {n + 1} separators, found {separators}")
     if sorted(endpoints) != list(range(1, n + 1)):
-        return Violation(len(links) - 1, f"endpoints {endpoints} are not a permutation of 1..{n}")
+        return Violation(len(codes) - 1, f"endpoints {endpoints} are not a permutation of 1..{n}")
 
     if reduced_expected:
-        for k, link in enumerate(links[:-1]):
-            succ = links[k + 1]
-            if link.point in (0, n + 1):
-                return Violation(k, "virtual point in reduced list")
-            if link == SEPARATOR and succ.position == -1:
+        for k, (code, succ) in enumerate(zip(codes, codes[1:])):
+            if code == SEPARATOR_CODE and succ % 3 == 0:
                 return Violation(k + 1, "below-pass directly after a separator")
-            if link.position != 0 and succ == Link(link.point, 0):
-                return Violation(k, f"{link} directly before its endpoint {succ}")
-            if link == succ:
-                return Violation(k, f"adjacent equal links {link}{succ}")
-            if link.position == 0 and link != SEPARATOR and succ != SEPARATOR:
+            if code % 3 != 1 and succ == code - code % 3 + 1:
+                return Violation(
+                    k, f"{code_link(code)} directly before its endpoint {code_link(succ)}"
+                )
+            if code == succ:
+                return Violation(k, f"adjacent equal links {code_link(code)}{code_link(succ)}")
+            if code % 3 == 1 and code != SEPARATOR_CODE and succ != SEPARATOR_CODE:
                 return Violation(k + 1, "link between an endpoint and the next separator")
     return None
 
@@ -194,8 +188,10 @@ def require_valid(gbase: GBaseWord, reduced_expected: bool = False) -> None:
 
 def endpoints_permutation(gbase: GBaseWord) -> tuple[int, ...]:
     """Map path ordinal k (1-based, in list order) to the point its path ends at."""
-    require_valid(gbase)
-    return tuple(next(l.point for l in path if l.position == 0) for path in gbase.paths())
+    require_valid(gbase)  # so each path holds exactly one endpoint
+    return tuple(
+        code // 3 - 1 for code in gbase.codes if code % 3 == 1 and code != SEPARATOR_CODE
+    )
 
 
 def format_gbase(gbase: GBaseWord) -> str:

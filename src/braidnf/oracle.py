@@ -43,17 +43,6 @@ class FreeWord:
         return len(self.syllables)
 
 
-def free_reduce(syllables: list[Syllable] | tuple[Syllable, ...]) -> FreeWord:
-    """Cancel adjacent inverse pairs until none remain."""
-    out: list[Syllable] = []
-    for gen, exp in syllables:
-        if out and out[-1] == (gen, -exp):
-            out.pop()
-        else:
-            out.append((gen, exp))
-    return FreeWord(tuple(out))
-
-
 def _letter_image_syllables(letter: Letter, gen: int) -> tuple[Syllable, ...]:
     i = letter.index
     if letter.sign > 0:
@@ -67,17 +56,6 @@ def _letter_image_syllables(letter: Letter, gen: int) -> tuple[Syllable, ...]:
         if gen == i + 1:
             return ((i + 1, -1), (i, 1), (i + 1, 1))
     return ((gen, 1),)
-
-
-def letter_image(letter: Letter, gen: int, strand_count: int) -> FreeWord:
-    """Image of x_gen under one letter's automorphism."""
-    if not 1 <= gen <= strand_count:
-        raise ValueError(f"generator {gen} out of range for {strand_count} strands")
-    if not 1 <= letter.index <= strand_count - 1:
-        raise ValueError(
-            f"letter index {letter.index} out of range for {strand_count} strands"
-        )
-    return FreeWord(_letter_image_syllables(letter, gen))
 
 
 def word_image(

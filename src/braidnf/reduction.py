@@ -24,10 +24,8 @@ equality.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from . import engine
-from .gbase import GBaseWord, Link, require_valid
+from .gbase import GBaseWord, require_valid
 
 
 def reduce(gbase: GBaseWord) -> GBaseWord:
@@ -35,23 +33,3 @@ def reduce(gbase: GBaseWord) -> GBaseWord:
     require_valid(gbase)
     codes, _, _ = engine.reduce_codes(gbase.codes)
     return GBaseWord(gbase.strand_count, codes)
-
-
-def find_forbidden_sequence(links: Sequence[Link]) -> int | None:
-    """Index of the first (p-1,e)(p,+-1)(p,-+1)(p+1,e) window, or None.
-
-    Reachable reduced lists never wrap a puncture with an above-below pair
-    this way; the scan backs the uniqueness claim in the test suite.
-    """
-    for k in range(len(links) - 3):
-        a, b, c, d = links[k:k + 4]
-        if (
-            b.point == c.point
-            and b.position == -c.position
-            and b.position != 0
-            and a.point == b.point - 1
-            and d.point == b.point + 1
-            and a.position == d.position
-        ):
-            return k
-    return None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from . import engine
 from .braidword import BraidWord
+from .errors import InternalStateError
 from .gbase import GBaseWord, standard_gbase
 from .twist import TwistStats
 
@@ -23,10 +24,15 @@ def process_word(word: BraidWord) -> tuple[GBaseWord, list[TwistStats]]:
     """
     codes = standard_gbase(word.strand_count).codes
     per_letter: list[TwistStats] = []
-    for letter in word.letters:
+    for k, letter in enumerate(word.letters):
         visited = len(codes)
-        unreduced, inserted = engine.twist_codes(codes, letter.index, letter.sign)
-        codes, reduce_visited, deleted = engine.reduce_codes(unreduced)
+        try:
+            unreduced, inserted = engine.twist_codes(codes, letter.index, letter.sign)
+            codes, reduce_visited, deleted = engine.reduce_codes(unreduced)
+        except InternalStateError as error:
+            raise InternalStateError(
+                f"letter {k} ({letter.index * letter.sign}): {error}"
+            ) from error
         per_letter.append(
             TwistStats(
                 links_visited=visited,

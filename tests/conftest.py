@@ -111,3 +111,23 @@ def chaotic_reduce(seq, rng: random.Random) -> list[Link]:
         rule, c = rng.choice(matches)
         apply_rule(out, rule, c)
     return out
+
+
+def find_forbidden_sequence(links) -> int | None:
+    """Index of the first (p-1,e)(p,+-1)(p,-+1)(p+1,e) window, or None.
+
+    Reachable reduced lists never wrap a puncture with an above-below pair
+    this way; the scan backs the uniqueness claim in the suite.
+    """
+    for k in range(len(links) - 3):
+        a, b, c, d = links[k:k + 4]
+        if (
+            b.point == c.point
+            and b.position == -c.position
+            and b.position != 0
+            and a.point == b.point - 1
+            and d.point == b.point + 1
+            and a.position == d.position
+        ):
+            return k
+    return None

@@ -38,10 +38,15 @@ from braidnf.gbase import (
 )
 from braidnf.oracle import oracle_equal, word_image
 from braidnf.prng import SplitMix64, random_word
-from braidnf.reduction import find_forbidden_sequence, reduce
+from braidnf.reduction import reduce
 from braidnf.solver import process_word, words_equal
 
-from conftest import chaotic_reduce, random_valid_gbase, word_from_ints
+from conftest import (
+    chaotic_reduce,
+    find_forbidden_sequence,
+    random_valid_gbase,
+    word_from_ints,
+)
 
 SEED = 20260808
 

@@ -72,24 +72,38 @@ def test_validate_flags_repeated_endpoint():
     assert violation is not None and "permutation" in violation.reason
 
 
+VIOLATION_ROWS = [
+    # (n, pairs, reduced_expected, index, fragment): each reaches one reason
+    (1, [(1, 0)], False, 0, "start with"),
+    (1, [(-1, 0), (1, 0)], False, 1, "end with"),
+    (1, [(-1, 0), (-1, 0)], False, 1, "no endpoint"),
+    (1, [(-1, 0), (1, 1), (-1, 0)], False, 2, "no endpoint"),
+    (2, [(-1, 0), (1, 0), (2, 0), (-1, 0)], False, 2, "second position-0"),
+    (1, [(-1, 0), (1, 0), (-1, 0), (1, 0), (-1, 0)], False, 4, "separators"),
+    (1, [(-1, 0), (3, 1), (1, 0), (-1, 0)], False, 1, "out of range"),
+    (1, [(-1, 0), (1, 1), (0, -1), (1, 0), (-1, 0)], False, 2, "not adjacent to a separator"),
+    (1, [(-1, 0), (2, 1), (1, 0), (-1, 0)], False, 1, "virtual point 2 must have position -1"),
+    (1, [(-1, 0), (-1, 1), (1, 0), (-1, 0)], False, 1,
+     "basepoint link must be (-1,0), got (-1,1)"),
+    (2, [(-1, 0), (1, 1), (1, 1), (2, 0), (-1, 0), (1, 0), (-1, 0)], True, 1,
+     "adjacent equal links"),
+    (1, [(-1, 0), (1, 1), (1, 0), (-1, 0)], True, 1, "directly before its endpoint"),
+    (2, [(-1, 0), (1, 0), (2, 1), (-1, 0), (2, 0), (-1, 0)], True, 2,
+     "link between an endpoint and the next separator"),
+    # a sentinel always follows a separator, so the below-pass check fires first
+    (1, [(-1, 0), (0, -1), (1, 0), (-1, 0)], True, 1, "below-pass directly after a separator"),
+]
+
+
 @pytest.mark.parametrize(
-    "n, pairs, fragment",
-    [
-        (1, [(1, 0)], "start with"),
-        (1, [(-1, 0), (1, 0)], "end with"),
-        (1, [(-1, 0), (-1, 0)], "no endpoint"),
-        (1, [(-1, 0), (1, 1), (-1, 0)], "no endpoint"),
-        (2, [(-1, 0), (1, 0), (2, 0), (-1, 0)], "second position-0"),
-        (1, [(-1, 0), (1, 0), (-1, 0), (1, 0), (-1, 0)], "separators"),
-        (1, [(-1, 0), (3, 1), (1, 0), (-1, 0)], "out of range"),
-        (1, [(-1, 0), (1, 1), (0, -1), (1, 0), (-1, 0)], "not adjacent to a separator"),
-        (1, [(-1, 0), (2, 1), (1, 0), (-1, 0)], "virtual point 2 must have position -1"),
-    ],
+    "n, pairs, reduced, index, fragment",
+    VIOLATION_ROWS,
+    ids=[f"{row[0]}-pairs{k}-{row[4]}" for k, row in enumerate(VIOLATION_ROWS)],
 )
-def test_validate_flags_structural_violations(n, pairs, fragment):
-    g = gbase_of(n, pairs)
-    violation = validate(g)
+def test_validate_flags_structural_violations(n, pairs, reduced, index, fragment):
+    violation = validate(gbase_of(n, pairs), reduced_expected=reduced)
     assert violation is not None
+    assert violation.index == index
     assert fragment in violation.reason
 
 

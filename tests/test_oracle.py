@@ -4,40 +4,31 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidnf.braidword import Letter, concat, inverse, parse_word
+from braidnf.braidword import BraidWord, Letter, concat, inverse, parse_word
 from braidnf.errors import ResourceLimitError
-from braidnf.oracle import (
-    FreeWord,
-    free_reduce,
-    letter_image,
-    oracle_equal,
-    word_image,
-)
+from braidnf.oracle import FreeWord, oracle_equal, word_image
 
 from conftest import braid_words
 
 
-def test_free_reduce_examples():
-    assert free_reduce([(1, 1), (2, 1), (2, -1), (1, 1)]).syllables == ((1, 1), (1, 1))
-    assert free_reduce([(1, 1), (1, -1)]).syllables == ()
-    already = ((1, 1), (2, 1), (1, -1))
-    assert free_reduce(already).syllables == already
+def letter_image(letter, gen, strand_count):
+    """Image of x_gen under one letter, through word_image."""
+    return word_image(BraidWord(strand_count, (letter,)), gen)
 
 
-@given(st.lists(st.tuples(st.integers(1, 4), st.sampled_from((1, -1))), max_size=30))
-def test_free_reduce_idempotent(syllables):
-    once = free_reduce(syllables)
-    assert free_reduce(once.syllables) == once
-
-
-@given(
-    st.lists(st.tuples(st.integers(1, 3), st.sampled_from((1, -1))), max_size=20),
-    st.integers(0, 2**32),
-)
-def test_free_reduce_confluent(syllables, seed):
-    # cancel adjacent inverse pairs in random order; the fixpoint must agree
+@given(braid_words(max_strands=4, max_length=6), st.integers(1, 4), st.integers(0, 2**32))
+def test_free_reduce_confluent(word, gen, seed):
+    # substitute letter by letter without cancelling, then cancel adjacent
+    # inverse pairs in random order; the fixpoint must be word_image's
+    gen = min(gen, word.strand_count)
+    work = [(gen, 1)]
+    for letter in word.letters:
+        out = []
+        for g, e in work:
+            target = letter_image(letter, g, word.strand_count).syllables
+            out += target if e > 0 else [(h, -f) for h, f in reversed(target)]
+        work = out
     rng = random.Random(seed)
-    work = list(syllables)
     while True:
         cancellable = [
             k
@@ -48,7 +39,7 @@ def test_free_reduce_confluent(syllables, seed):
             break
         k = rng.choice(cancellable)
         del work[k:k + 2]
-    assert tuple(work) == free_reduce(syllables).syllables
+    assert tuple(work) == word_image(word, gen).syllables
 
 
 def test_free_word_rejects_unreduced():

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from braidnf import engine
 from braidnf.errors import InternalStateError, MalformedGBaseError
 from braidnf.gbase import Link, standard_gbase, validate
-from braidnf.reduction import find_forbidden_sequence, reduce
+from braidnf.reduction import reduce
 
 from conftest import (
     chaotic_reduce,
     codes_of,
+    find_forbidden_sequence,
     gbase_of,
     links_of,
     random_valid_gbase,
@@ -68,7 +69,7 @@ def test_reduce_rejects_structurally_invalid():
 
 
 def test_reduce_core_raises_on_equal_position0_links():
-    with pytest.raises(InternalStateError):
+    with pytest.raises(InternalStateError, match="at output offset 1"):
         reduce_fragment(links((-1, 0), (-1, 0)))
 
 

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidnf import engine
 from braidnf.braidword import concat, inverse, parse_word, permutation_of_word
+from braidnf.errors import InternalStateError
 from braidnf.gbase import (
     endpoints_permutation,
     format_gbase,
@@ -10,10 +12,9 @@ from braidnf.gbase import (
     validate,
 )
 from braidnf.oracle import oracle_equal
-from braidnf.reduction import find_forbidden_sequence
 from braidnf.solver import is_identity, process_word, words_equal
 
-from conftest import braid_words, word_from_ints
+from conftest import braid_words, find_forbidden_sequence, word_from_ints
 
 
 def test_empty_word_is_standard_base():
@@ -119,3 +120,18 @@ def test_agrees_with_free_group_action(word, salt):
         ],
     )
     assert words_equal(word, other) == oracle_equal(word, other)
+
+
+def test_internal_error_names_the_letter(monkeypatch):
+    real_reduce = engine.reduce_codes
+    calls = []
+
+    def reduce_failing_on_fourth_letter(codes):
+        calls.append(None)
+        if len(calls) == 4:
+            raise InternalStateError("broken invariant")
+        return real_reduce(codes)
+
+    monkeypatch.setattr(engine, "reduce_codes", reduce_failing_on_fourth_letter)
+    with pytest.raises(InternalStateError, match=r"^letter 3 \(-2\): broken invariant$"):
+        process_word(parse_word("1 2 -1 -2 1", 3))

@@ -146,6 +146,12 @@ def test_separator_detach_rejects_uncovered_pattern():
         detach(Link(2, 1), Link(2, -1), 2)
 
 
+def test_twist_names_the_run_with_no_detach_case():
+    # a separator followed by (2,-1): no reduced path leaves the basepoint so
+    with pytest.raises(InternalStateError, match="link 1"):
+        engine.twist_codes([1, 9, 7, 1, 10, 1], 1, 1)
+
+
 @pytest.mark.parametrize(
     "link, i, expected",
     [((2, 0), 2, (3, 0)), ((3, 1), 2, (2, -1)), ((2, -1), 2, (3, 1)), ((2, 1), 2, (3, -1))],
