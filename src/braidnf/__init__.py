@@ -34,9 +34,14 @@ from .gbase import (
     validate,
 )
 from .oracle import FreeWord, oracle_equal, word_image
-from .reduction import reduce
-from .solver import is_identity, process_word, words_equal
-from .twist import TwistStats, apply_letter
+from .solver import (
+    TwistStats,
+    apply_letter,
+    is_identity,
+    process_word,
+    reduce,
+    words_equal,
+)
 
 __all__ = [
     "BraidWord",

@@ -7,14 +7,12 @@ import time
 
 from .gbase import standard_gbase
 from .prng import SplitMix64, random_word
-from .solver import process_word
-from .twist import TwistStats
-
-CSV_HEADER = "n,word_length,seed,final_list_length,max_list_length,links_visited,time_ns"
+from .solver import TwistStats, process_word
 
 
 @dataclasses.dataclass(frozen=True)
 class BenchRow:
+    """One CSV row; the fields, in order, are the columns."""
     n: int
     word_length: int
     seed: int
@@ -24,10 +22,10 @@ class BenchRow:
     time_ns: int
 
     def csv(self) -> str:
-        return (
-            f"{self.n},{self.word_length},{self.seed},{self.final_list_length},"
-            f"{self.max_list_length},{self.links_visited},{self.time_ns}"
-        )
+        return ",".join(map(str, dataclasses.astuple(self)))
+
+
+CSV_HEADER = ",".join(field.name for field in dataclasses.fields(BenchRow))
 
 
 def total_links_visited(per_letter: list[TwistStats]) -> int:

@@ -17,8 +17,9 @@ Handy consequences, used throughout:
                                    flips sign; one subtraction does both)
 
 These functions take code sequences (a GBaseWord's tuple or a list) and
-return lists; they trust their input, which the public modules validate.
-Semantics live in the public docstrings; counter meanings match TwistStats.
+return lists. They trust their input: solver.process_word starts from the
+standard g-base and feeds each output back in, and solver.apply_letter and
+solver.reduce call require_valid first. Their counters fill solver.TwistStats.
 """
 
 from __future__ import annotations
@@ -79,10 +80,31 @@ def postfix_codes(index: int, sign: int, to_left: bool) -> list[int]:
 def twist_codes(codes: Sequence[int], index: int, sign: int) -> tuple[list[int], int]:
     """Apply one half-twist; returns the unreduced list and the insert count.
 
-    Single pass: links outside the twisted region are copied through, each
-    maximal in-region run is detached from the basepoint if needed, rotated,
-    and re-spliced with connectors. The scan walks the input only, so nothing
-    inserted here is ever re-matched as a run.
+    The generator with index i acts as a half-twist that rotates a small disk
+    around punctures i and i+1 by 180 degrees (positively or negatively). On
+    the list the twist is local: links outside the twisted region (points i
+    and i+1) are copied through, and each maximal run of in-region links is
+    rewritten in one left-to-right pass:
+
+      1. If the link before the run is the basepoint separator, the path is
+         first nudged off the basepoint: one or two below-pass links are
+         inserted right after the separator so that the run is preceded by
+         an ordinary link (detach_codes: six patterns, one per way a path
+         can leave the basepoint into the twisted region). For boundary
+         generators this may create a link at the virtual point 0 or n+1;
+         the reducer deletes it again.
+      2. The run itself is rotated in place: each link's position flips sign
+         and its point reflects across the twist center (i <-> i+1).
+      3. Two-link connectors are spliced in before and after the rotated run
+         to rejoin it with the rest of the path (prefix_codes/postfix_codes),
+         passing below the twisted region when the neighbouring link lies to
+         its left and above when it lies to its right (mirrored for a
+         negative twist).
+
+    Runs are located against the input list and the scan resumes after each
+    run, so links inserted by one run are never re-twisted. The insert count
+    covers steps 1 and 3, so the output length is the input length plus it.
+    The output is unreduced; reduce_codes normalizes it.
     """
     lo = 3 * index + 3  # in-region codes are lo <= code < lo + 6
     hi = lo + 6
@@ -129,10 +151,28 @@ def twist_codes(codes: Sequence[int], index: int, sign: int) -> tuple[list[int],
 def reduce_codes(codes: Sequence[int]) -> tuple[list[int], int, int]:
     """Run the four deletion rules to fixpoint; returns (out, visited, deleted).
 
-    One pass over a stack: each incoming link is weighed against the stack
-    top (rules in priority order R1, R2, R3, R4), retrying after every pop so
-    newly adjacent pairs are re-examined. Endpoint and separator links are
-    never deleted.
+    Each rule is a homotopy of the encoded paths:
+
+      R1  two adjacent equal links: the path sidesteps a puncture and
+          immediately retraces, so both links go;
+      R2  (j,+-1) directly before (j,0): a near-pass right next to the
+          endpoint;
+      R3  anything strictly between an endpoint and the next separator is
+          debris left behind by a twist connector;
+      R4  a block of below-passes directly after a separator: a path leaving
+          the basepoint may always start with the straight segment instead.
+
+    The scan is a single left-to-right pass over a growing output stack: each
+    incoming link is weighed against the stack top with the rules in the
+    order above, retrying after every R2 pop, so every newly adjacent pair is
+    re-examined before anything else happens. One step of retrace is enough
+    and each link is handled at most twice, which keeps the work linear
+    (`visited` counts these weighings, `deleted` the links dropped).
+    Separators and endpoint links are never deleted, R1 refuses position-0
+    links outright, and no rule matches across a separator. The fixpoint is
+    the same whatever order the rules are applied in (the test suite checks
+    this against a randomized applier), which is what makes list equality
+    decide braid-word equality.
     """
     out: list[int] = []
     visited = 0

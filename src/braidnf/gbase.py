@@ -14,7 +14,7 @@ GBaseWord stores each link as one packed int,
 
 so the separator is code 1. The twist/reduce engine works on these codes
 directly; link_code and code_link are the only conversions, and Link tuples
-are built only on demand (links, paths(), error messages).
+are built only on demand (the links property and error messages).
 
 Conventions that make the encoding canonical:
   * a path never leaves the basepoint through a below-pass, so a separator is
@@ -27,7 +27,7 @@ Conventions that make the encoding canonical:
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import MalformedGBaseError
 
@@ -38,9 +38,6 @@ class Link(NamedTuple):
 
     def __str__(self) -> str:
         return f"({self.point},{self.position})"
-
-
-SEPARATOR = Link(-1, 0)
 
 
 def link_code(point: int, position: int) -> int:
@@ -78,17 +75,6 @@ class GBaseWord:
     def links(self) -> tuple[Link, ...]:
         """The list as Link tuples, built on each access."""
         return tuple(map(code_link, self.codes))
-
-    def paths(self) -> Iterator[tuple[Link, ...]]:
-        """Yield the separator-delimited paths, in list order."""
-        links = self.links
-        start = None
-        for k, link in enumerate(links):
-            if link != SEPARATOR:
-                continue
-            if start is not None:
-                yield links[start:k]
-            start = k + 1
 
 
 class Violation(NamedTuple):

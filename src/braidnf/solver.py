@@ -1,19 +1,70 @@
 """Word-problem decisions by normal-form comparison.
 
-A word acts on the standard g-base letter by letter; every twist is followed
-by a full reduction, so the list the next letter sees is always in normal
-form. Two words over the same strand count are equal exactly when their
-final lists are identical link by link. The letters run entirely inside the
-packed-integer engine; GBaseWord values appear only at the ends.
+A word acts on the standard g-base letter by letter; every twist
+(engine.twist_codes) is followed by a full reduction (engine.reduce_codes),
+so the list the next letter sees is always in normal form. Two words over
+the same strand count are equal exactly when their final lists are identical
+link by link. The letters run entirely inside the packed-integer engine;
+GBaseWord values appear only at the ends. apply_letter and reduce run one
+step each on a GBaseWord, after checking it.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 from . import engine
-from .braidword import BraidWord
+from .braidword import BraidWord, Letter
 from .errors import InternalStateError
-from .gbase import GBaseWord, standard_gbase
-from .twist import TwistStats
+from .gbase import GBaseWord, require_valid, standard_gbase
+
+
+@dataclasses.dataclass
+class TwistStats:
+    """Work counters for one generator application.
+
+    links_visited counts input links examined (the full scan), links_inserted
+    the links the twist added, and pre_reduce_length the unreduced output
+    length, so pre_reduce_length = input length + links_inserted. The reduce_*
+    fields are filled in by the normalizer pass that follows each twist.
+    """
+    links_visited: int = 0
+    links_inserted: int = 0
+    pre_reduce_length: int = 0
+    reduce_links_visited: int = 0
+    reduce_links_deleted: int = 0
+
+
+def apply_letter(gbase: GBaseWord, letter: Letter) -> tuple[GBaseWord, TwistStats]:
+    """Apply one letter's half-twist to a reduced g-base; returns the unreduced result.
+
+    The input must be reduced: the twist's detachment patterns assume the
+    conventions that reduction enforces, so anything else raises
+    MalformedGBaseError. A letter whose index is not in 1..n-1 or whose sign
+    is not +-1 raises ValueError.
+    """
+    if not 1 <= letter.index <= gbase.strand_count - 1:
+        raise ValueError(
+            f"generator index {letter.index} out of range for "
+            f"{gbase.strand_count} strands"
+        )
+    if letter.sign not in (1, -1):
+        raise ValueError(f"generator sign must be +1 or -1, got {letter.sign}")
+    require_valid(gbase, reduced_expected=True)
+    codes, inserted = engine.twist_codes(gbase.codes, letter.index, letter.sign)
+    stats = TwistStats(
+        links_visited=len(gbase),
+        links_inserted=inserted,
+        pre_reduce_length=len(codes),
+    )
+    return GBaseWord(gbase.strand_count, codes), stats
+
+
+def reduce(gbase: GBaseWord) -> GBaseWord:
+    """Reduce a structurally valid (possibly unreduced) g-base to normal form."""
+    require_valid(gbase)
+    codes, _, _ = engine.reduce_codes(gbase.codes)
+    return GBaseWord(gbase.strand_count, codes)
 
 
 def process_word(word: BraidWord) -> tuple[GBaseWord, list[TwistStats]]:

@@ -7,7 +7,9 @@ import random
 from hypothesis import strategies as st
 
 from braidnf.braidword import BraidWord, Letter
-from braidnf.gbase import SEPARATOR, GBaseWord, Link, code_link, link_code
+from braidnf.gbase import GBaseWord, Link, code_link, link_code
+
+SEPARATOR = Link(-1, 0)
 
 
 def word_from_ints(strand_count: int, values: tuple[int, ...] | list[int]) -> BraidWord:
@@ -31,6 +33,13 @@ def links_of(codes) -> list[Link]:
 def gbase_of(strand_count: int, links) -> GBaseWord:
     # a list on purpose: GBaseWord must store it as a tuple
     return GBaseWord(strand_count, codes_of(links))
+
+
+def paths_of(gbase: GBaseWord) -> list[tuple[Link, ...]]:
+    """The separator-delimited paths, in list order."""
+    links = gbase.links
+    starts = [k for k, link in enumerate(links) if link == SEPARATOR]
+    return [links[start + 1:stop] for start, stop in zip(starts, starts[1:])]
 
 
 @st.composite

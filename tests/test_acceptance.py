@@ -38,8 +38,7 @@ from braidnf.gbase import (
 )
 from braidnf.oracle import oracle_equal, word_image
 from braidnf.prng import SplitMix64, random_word
-from braidnf.reduction import reduce
-from braidnf.solver import process_word, words_equal
+from braidnf.solver import process_word, reduce, words_equal
 
 from conftest import (
     chaotic_reduce,

@@ -3,7 +3,6 @@ from hypothesis import given
 
 from braidnf.errors import MalformedGBaseError
 from braidnf.gbase import (
-    SEPARATOR,
     Link,
     endpoints_permutation,
     format_gbase,
@@ -11,10 +10,9 @@ from braidnf.gbase import (
     standard_gbase,
     validate,
 )
-from braidnf.reduction import reduce
-from braidnf.solver import process_word
+from braidnf.solver import process_word, reduce
 
-from conftest import braid_words, gbase_of, valid_gbases
+from conftest import SEPARATOR, braid_words, gbase_of, paths_of, valid_gbases
 
 FIGURE_TEXT = (
     "(-1,0) (1,1) (2,0) (-1,0) (1,0) (-1,0) (4,0) (-1,0) (4,1) (3,0) (-1,0)"
@@ -156,4 +154,4 @@ def test_endpoints_permutation_standard_is_identity():
 
 def test_paths_iteration():
     g = parse_gbase(FIGURE_TEXT, 4)
-    assert [len(p) for p in g.paths()] == [2, 1, 1, 2]
+    assert [len(p) for p in paths_of(g)] == [2, 1, 1, 2]

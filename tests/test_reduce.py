@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from braidnf import engine
 from braidnf.errors import InternalStateError, MalformedGBaseError
 from braidnf.gbase import Link, standard_gbase, validate
-from braidnf.reduction import reduce
+from braidnf.solver import reduce
 
 from conftest import (
     chaotic_reduce,

@@ -1,0 +1,26 @@
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_doubling_experiment_runs():
+    result = subprocess.run(
+        [
+            sys.executable,
+            "scripts/doubling_experiment.py",
+            "--count", "1",
+            "--strands", "3",
+            "--lengths", "2", "4",
+            "--length", "2",
+            "--strand-counts", "2", "3",
+        ],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "log-log fit exponent:" in result.stdout
+    assert "spread" in result.stdout

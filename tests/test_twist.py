@@ -7,12 +7,18 @@ from hypothesis import strategies as st
 from braidnf import engine
 from braidnf.braidword import Letter
 from braidnf.errors import InternalStateError, MalformedGBaseError
-from braidnf.gbase import SEPARATOR, GBaseWord, Link, standard_gbase, validate
-from braidnf.reduction import reduce
-from braidnf.solver import process_word
-from braidnf.twist import apply_letter
+from braidnf.gbase import GBaseWord, Link, standard_gbase, validate
+from braidnf.solver import apply_letter, process_word, reduce
 
-from conftest import braid_words, codes_of, gbase_of, links_of, word_from_ints
+from conftest import (
+    SEPARATOR,
+    braid_words,
+    codes_of,
+    gbase_of,
+    links_of,
+    paths_of,
+    word_from_ints,
+)
 
 SIGMA1_UNREDUCED_N2 = (
     "(-1,0) (0,-1) (1,-1) (2,-1) (2,0) (1,1) (2,1) "
@@ -193,9 +199,15 @@ def test_apply_negative_letter_reduces_to_expected():
     )
 
 
-def test_apply_letter_rejects_out_of_range_index():
+@pytest.mark.parametrize(
+    "letter",
+    [Letter(2, 1), Letter(0, 1), Letter(1, 0), Letter(1, 2), Letter(1, -7)],
+    ids=["index2", "index0", "sign0", "sign2", "sign-7"],
+)
+def test_apply_letter_rejects_out_of_range_index(letter):
+    # Letter checks nothing itself, so apply_letter must reject a bad sign
     with pytest.raises(ValueError):
-        apply_letter(standard_gbase(2), Letter(2, 1))
+        apply_letter(standard_gbase(2), letter)
 
 
 @pytest.mark.parametrize(
@@ -216,8 +228,8 @@ def test_apply_letter_leaves_untouched_paths_alone():
     g, _ = process_word(word_from_ints(4, [3, -2, 3]))
     unreduced, _ = apply_letter(g, Letter(1, 1))
     touched = {1, 2}
-    before = [p for p in g.paths() if not any(l.point in touched for l in p)]
-    after = list(unreduced.paths())
+    before = [p for p in paths_of(g) if not any(l.point in touched for l in p)]
+    after = list(paths_of(unreduced))
     assert before and all(path in after for path in before)
 
 
