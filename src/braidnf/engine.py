@@ -16,18 +16,29 @@ Handy consequences, used throughout:
                                    (point reflects across i, i+1; position
                                    flips sign; one subtraction does both)
 
-These functions take code sequences (a GBaseWord's tuple or a list) and
-return lists. They trust their input: solver.process_word starts from the
-standard g-base and feeds each output back in, and solver.apply_letter and
-solver.reduce call require_valid first. Their counters fill solver.TwistStats.
+twist_codes and reduce_codes take code sequences (a GBaseWord's tuple or a
+list) and return lists; they are the single steps. step_text fuses the two
+for one letter on a list held as a str of chr(code) and gives the same list
+and counters. These functions trust their input: solver.process_word starts
+from the standard g-base and feeds each step_text output back in, and
+solver.apply_letter and solver.reduce call require_valid first. Their
+counters fill solver.TwistStats.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import functools
+import re
+import sys
+from typing import Iterable, Sequence
 
 from .errors import InternalStateError
 from .gbase import SEPARATOR_CODE, code_link
+
+# step_text holds each code as one character, so the largest code the engine
+# makes for n strands, 3 * (n + 2) for a below-pass at the virtual point n + 1,
+# must not pass sys.maxunicode
+MAX_TEXT_STRANDS = sys.maxunicode // 3 - 2
 
 
 def detach_codes(first: int, second: int | None, index: int) -> list[int]:
@@ -175,12 +186,23 @@ def reduce_codes(codes: Sequence[int]) -> tuple[list[int], int, int]:
     decide braid-word equality.
     """
     out: list[int] = []
+    visited, deleted = _weigh(out, [], codes)
+    return out, visited, deleted
+
+
+def _weigh(out: list[int], below: list[str], codes: Iterable[int]) -> tuple[int, int]:
+    """Weigh each code against the stack top by reduce_codes's rules.
+
+    The stack is the links of `below`, str pieces of chr(code), followed by
+    the ints of `out`. Links move from `below` into `out` only when a pop
+    empties `out`. Returns the weighings and deletions for these codes.
+    """
     visited = 0
     deleted = 0
     for code in codes:
         while True:
             visited += 1
-            if not out:
+            if not out and not _refill(out, below):
                 out.append(code)
                 break
             top = out[-1]
@@ -188,7 +210,7 @@ def reduce_codes(codes: Sequence[int]) -> tuple[list[int], int, int]:
                 if top % 3 == 1:
                     raise InternalStateError(
                         f"adjacent equal position-0 links {code_link(top)} "
-                        f"at output offset {len(out)}"
+                        f"at output offset {len(out) + sum(map(len, below))}"
                     )
                 out.pop()
                 deleted += 2
@@ -202,7 +224,7 @@ def reduce_codes(codes: Sequence[int]) -> tuple[list[int], int, int]:
                 if code % 3 == 1:  # R3 must never swallow an endpoint
                     raise InternalStateError(
                         f"position-0 link {code_link(code)} in endpoint debris "
-                        f"at output offset {len(out)}"
+                        f"at output offset {len(out) + sum(map(len, below))}"
                     )
                 deleted += 1
                 break
@@ -211,4 +233,117 @@ def reduce_codes(codes: Sequence[int]) -> tuple[list[int], int, int]:
                 break
             out.append(code)
             break
-    return out, visited, deleted
+    return visited, deleted
+
+
+def _refill(out: list[int], below: list[str]) -> bool:
+    """Move the last links of `below` into the empty `out`; False if none.
+
+    Cascades are short, so 16 links at a time avoids converting a whole
+    piece to ints, while each re-slice of the rest costs its length.
+    """
+    while below:
+        piece = below.pop()
+        if piece:
+            keep = max(len(piece) - 16, 0)
+            if keep:
+                below.append(piece[:keep])
+            out.extend(map(ord, piece[keep:]))
+            return True
+    return False
+
+
+@functools.lru_cache(maxsize=1024)
+def _run_splitter(index: int) -> tuple[re.Pattern[str], dict[int, int]]:
+    """The pattern whose split isolates the runs of generator `index`, and
+    the translate table that rotates a run's links."""
+    lo = 3 * index + 3
+    mirror = 6 * index + 11
+    pattern = re.compile(f"([{re.escape(chr(lo))}-{re.escape(chr(lo + 5))}]+)")
+    return pattern, {code: mirror - code for code in range(lo, lo + 6)}
+
+
+def step_text(text: str, index: int, sign: int) -> tuple[str, int, int, int]:
+    """One letter on a reduced list held as a str of chr(code).
+
+    Returns (text, inserted, visited, deleted): the reduced list after the
+    letter and the counters of reduce_codes(twist_codes(...)). Both equal
+    that composition's, but the work is done only where the twist splices.
+
+    A regex split (in C) cuts the list into the runs of in-region links and
+    the gaps between them, which the twist copies unchanged. Each run's
+    twist output (twist_codes's steps 1-3) is weighed link by link against
+    the reduce_codes stack, and so is each short gap. A long gap is weighed
+    until one of its links is pushed; the rest of it is copied as a slice,
+    and its length is added to `visited`. That is exact for two reasons:
+
+      * every rule, and both InternalStateError checks, decide from the pair
+        (stack top, incoming link) alone;
+      * no adjacent pair of a gap matches a rule, since the input is reduced.
+
+    So once a gap link is on top, each later one meets its own predecessor
+    there and is pushed after one weighing. The first gap goes onto the empty
+    stack the same way. If a cascade pops below the links held as ints,
+    _weigh pulls earlier output back onto the stack. So `visited` and
+    `deleted` count exactly the weighings and deletions of the full scan.
+    Every code must be at most sys.maxunicode, which MAX_TEXT_STRANDS bounds.
+    """
+    pattern, table = _run_splitter(index)
+    separator = chr(SEPARATOR_CODE)
+    # the connectors as text, chosen by the input link before or after the
+    # run: the left ones for a link at point index - 1, else the right ones
+    left = [chr(code) for code in range(3 * index, 3 * index + 3)]
+    pre_right = "".join(map(chr, prefix_codes(index, sign, False)))
+    pre = dict.fromkeys(left, "".join(map(chr, prefix_codes(index, sign, True))))
+    post_right = "".join(map(chr, postfix_codes(index, sign, False)))
+    post = dict.fromkeys(left, "".join(map(chr, postfix_codes(index, sign, True))))
+
+    pieces = pattern.split(text)  # gap, run, gap, ..., run, gap
+    below = [pieces[0][:-1]]
+    out = [ord(pieces[0][-1])]
+    visited = len(pieces[0])
+    deleted = 0
+    inserted = 4 * (len(pieces) // 2)
+    pending: list[str] = []  # links still to be weighed, in order
+    for p in range(1, len(pieces), 2):
+        run, gap = pieces[p], pieces[p + 1]
+        before = pieces[p - 1][-1]
+        if before == separator:
+            try:
+                added = detach_codes(
+                    ord(run[0]), ord(run[1] if len(run) > 1 else gap[0]), index
+                )
+            except InternalStateError as error:
+                offset = sum(map(len, pieces[:p]))
+                raise InternalStateError(f"link {offset}: {error}") from error
+            before = chr(added[0])
+            pending.append(before)
+            run = "".join(map(chr, added[1:])) + run  # rotated with the run
+            inserted += len(added)
+        pending.append(pre.get(before, pre_right))
+        pending.append(run.translate(table))
+        pending.append(post.get(gap[0], post_right))
+        if len(gap) <= 8:  # a slice would save less than flushing `out` costs
+            pending.append(gap)
+            continue
+        step_visited, step_deleted = _weigh(out, below, map(ord, "".join(pending)))
+        visited += step_visited
+        deleted += step_deleted
+        pending.clear()
+        for k, char in enumerate(gap):
+            code = ord(char)
+            step_visited, step_deleted = _weigh(out, below, (code,))
+            visited += step_visited
+            deleted += step_deleted
+            # adjacent stack entries always differ, so `code` is on top
+            # exactly when it was pushed
+            if out and out[-1] == code:
+                out.pop()
+                below.append("".join(map(chr, out)))
+                below.append(gap[k:-1])
+                out = [ord(gap[-1])]
+                visited += len(gap) - k - 1
+                break
+    step_visited, step_deleted = _weigh(out, below, map(ord, "".join(pending)))
+    below.append("".join(map(chr, out)))
+    return "".join(below), inserted, visited + step_visited, deleted + step_deleted

@@ -1,12 +1,12 @@
 """Word-problem decisions by normal-form comparison.
 
-A word acts on the standard g-base letter by letter; every twist
-(engine.twist_codes) is followed by a full reduction (engine.reduce_codes),
-so the list the next letter sees is always in normal form. Two words over
-the same strand count are equal exactly when their final lists are identical
-link by link. The letters run entirely inside the packed-integer engine;
-GBaseWord values appear only at the ends. apply_letter and reduce run one
-step each on a GBaseWord, after checking it.
+A word acts on the standard g-base letter by letter. Each letter is one
+fused twist and reduction (engine.step_text) on the list held as a str, so
+the list the next letter sees is always in normal form; the reduction works
+only where the twist spliced. Two words over the same strand count are equal
+exactly when their final lists are identical link by link. GBaseWord values
+appear only at the ends. apply_letter and reduce run one step each on a
+GBaseWord (engine.twist_codes and engine.reduce_codes), after checking it.
 """
 
 from __future__ import annotations
@@ -15,18 +15,18 @@ import dataclasses
 
 from . import engine
 from .braidword import BraidWord, Letter
-from .errors import InternalStateError
+from .errors import InternalStateError, ResourceLimitError
 from .gbase import GBaseWord, require_valid, standard_gbase
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class TwistStats:
     """Work counters for one generator application.
 
     links_visited counts input links examined (the full scan), links_inserted
     the links the twist added, and pre_reduce_length the unreduced output
     length, so pre_reduce_length = input length + links_inserted. The reduce_*
-    fields are filled in by the normalizer pass that follows each twist.
+    fields count the reduction that follows each twist in process_word.
     """
     links_visited: int = 0
     links_inserted: int = 0
@@ -72,14 +72,20 @@ def process_word(word: BraidWord) -> tuple[GBaseWord, list[TwistStats]]:
 
     Returns the final reduced g-base and one stats record per letter (twist
     counters plus the reduce counters of the normalization that followed).
+    More than engine.MAX_TEXT_STRANDS strands raise ResourceLimitError.
     """
-    codes = standard_gbase(word.strand_count).codes
+    if word.strand_count > engine.MAX_TEXT_STRANDS:
+        raise ResourceLimitError(
+            f"strand count {word.strand_count} exceeds {engine.MAX_TEXT_STRANDS}"
+        )
+    text = "".join(map(chr, standard_gbase(word.strand_count).codes))
     per_letter: list[TwistStats] = []
     for k, letter in enumerate(word.letters):
-        visited = len(codes)
+        visited = len(text)
         try:
-            unreduced, inserted = engine.twist_codes(codes, letter.index, letter.sign)
-            codes, reduce_visited, deleted = engine.reduce_codes(unreduced)
+            text, inserted, reduce_visited, deleted = engine.step_text(
+                text, letter.index, letter.sign
+            )
         except InternalStateError as error:
             raise InternalStateError(
                 f"letter {k} ({letter.index * letter.sign}): {error}"
@@ -88,12 +94,12 @@ def process_word(word: BraidWord) -> tuple[GBaseWord, list[TwistStats]]:
             TwistStats(
                 links_visited=visited,
                 links_inserted=inserted,
-                pre_reduce_length=len(unreduced),
+                pre_reduce_length=visited + inserted,
                 reduce_links_visited=reduce_visited,
                 reduce_links_deleted=deleted,
             )
         )
-    return GBaseWord(word.strand_count, codes), per_letter
+    return GBaseWord(word.strand_count, map(ord, text)), per_letter
 
 
 def words_equal(first: BraidWord, second: BraidWord) -> bool:

@@ -1,6 +1,7 @@
 import pytest
 
 from braidnf.cli import main
+from braidnf.engine import MAX_TEXT_STRANDS
 
 
 def run(capsys, *argv):
@@ -89,6 +90,13 @@ def test_word_and_file_together_exit_2(capsys):
         code, out, err = run(capsys, verb, "--strands", "2", "1", "--file", "x")
         assert (code, out) == (2, "")
         assert "exactly one" in err
+
+
+def test_strand_count_beyond_the_engine_exits_2(capsys):
+    strands = str(MAX_TEXT_STRANDS + 1)
+    code, out, err = run(capsys, "normal-form", "--strands", strands, "1")
+    assert (code, out) == (2, "")
+    assert strands in err
 
 
 def test_missing_file_exits_2(capsys):

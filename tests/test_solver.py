@@ -1,10 +1,12 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidnf import engine
 from braidnf.braidword import concat, inverse, parse_word, permutation_of_word
-from braidnf.errors import InternalStateError
+from braidnf.errors import InternalStateError, ResourceLimitError
 from braidnf.gbase import (
     endpoints_permutation,
     format_gbase,
@@ -123,15 +125,28 @@ def test_agrees_with_free_group_action(word, salt):
 
 
 def test_internal_error_names_the_letter(monkeypatch):
-    real_reduce = engine.reduce_codes
+    real_step = engine.step_text
     calls = []
 
-    def reduce_failing_on_fourth_letter(codes):
+    def step_failing_on_fourth_letter(text, index, sign):
         calls.append(None)
         if len(calls) == 4:
             raise InternalStateError("broken invariant")
-        return real_reduce(codes)
+        return real_step(text, index, sign)
 
-    monkeypatch.setattr(engine, "reduce_codes", reduce_failing_on_fourth_letter)
+    monkeypatch.setattr(engine, "step_text", step_failing_on_fourth_letter)
     with pytest.raises(InternalStateError, match=r"^letter 3 \(-2\): broken invariant$"):
         process_word(parse_word("1 2 -1 -2 1", 3))
+
+
+def test_twist_stats_are_frozen():
+    stats = process_word(parse_word("1 2", 3))[1][0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stats.links_visited = -5
+    assert stats.links_visited == 7
+
+
+def test_strand_count_beyond_the_text_range_is_refused():
+    # raised before the standard g-base is built
+    with pytest.raises(ResourceLimitError, match=str(engine.MAX_TEXT_STRANDS)):
+        process_word(parse_word("1", engine.MAX_TEXT_STRANDS + 1))

@@ -1,0 +1,107 @@
+"""engine.step_text against the two single steps it fuses."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from braidnf import engine
+from braidnf.errors import InternalStateError
+from braidnf.solver import process_word
+
+from conftest import codes_of, valid_gbases, word_from_ints
+
+
+def text_of(codes) -> str:
+    return "".join(map(chr, codes))
+
+
+def two_pass(codes, index, sign):
+    """(codes, inserted, visited, deleted) of reduce_codes(twist_codes(...))."""
+    unreduced, inserted = engine.twist_codes(codes, index, sign)
+    out, visited, deleted = engine.reduce_codes(unreduced)
+    return out, inserted, visited, deleted
+
+
+@st.composite
+def reduced_lists(draw):
+    """A process_word output at a strand count from a fixed set, the strand
+    count, and a generator index."""
+    n = draw(st.sampled_from((2, 3, 4, 8, 20, 90)))
+    length = draw(st.integers(0, 24 if n <= 4 else 48))
+    values = [
+        draw(st.integers(1, n - 1)) * draw(st.sampled_from((1, -1)))
+        for _ in range(length)
+    ]
+    return process_word(word_from_ints(n, values))[0].codes, n, draw(st.integers(1, n - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(reduced_lists())
+def test_step_text_matches_twist_then_reduce(case):
+    codes, n, drawn = case
+    # letters 1 and n-1 reach the detach cases that make points 0 and n+1
+    for index in sorted({1, n - 1, drawn}):
+        for sign in (1, -1):
+            text, inserted, visited, deleted = engine.step_text(text_of(codes), index, sign)
+            expected = two_pass(codes, index, sign)
+            assert ([ord(c) for c in text], inserted, visited, deleted) == expected
+
+
+@pytest.mark.parametrize("n", [90, 20000])
+def test_step_text_holds_wide_codes(n):
+    # codes pass 255 at 90 strands, so the str needs two bytes per link, and
+    # reach the surrogate range (0xD800) at 20000
+    codes = process_word(word_from_ints(n, [n - 1, -1, n // 2, n - 2, 2, 1 - n]))[0].codes
+    assert max(codes) > (255 if n == 90 else 0xD800)
+    for index in (1, n // 2, n - 1):
+        text, *counters = engine.step_text(text_of(codes), index, -1)
+        assert ([ord(c) for c in text], *counters) == two_pass(codes, index, -1)
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        # a separator followed by (2,-1): no detach case covers it
+        ([(-1, 0), (2, -1), (1, 0), (-1, 0), (2, 0), (-1, 0)], r"^link 1: "),
+        # a short gap of two separators
+        (
+            [(-1, 0), (1, 0), (-1, 0), (-1, 0), (2, 0), (-1, 0)],
+            r"^adjacent equal position-0 links \(-1,0\) at output offset 3$",
+        ),
+        # an endpoint outside the region directly before a run
+        (
+            [(-1, 0), (3, 0), (1, 0), (-1, 0), (2, 0), (-1, 0)],
+            r"^position-0 link \(2,0\) in endpoint debris at output offset 2$",
+        ),
+    ],
+    ids=["detach", "equal-position-0", "endpoint-debris"],
+)
+def test_step_text_raises_what_the_single_steps_raise(pairs, message):
+    codes = codes_of(pairs)
+    with pytest.raises(InternalStateError, match=message) as two_steps:
+        two_pass(codes, 1, 1)
+    with pytest.raises(InternalStateError, match=message) as fused:
+        engine.step_text(text_of(codes), 1, 1)
+    assert str(fused.value) == str(two_steps.value)
+
+
+@settings(max_examples=200)
+@given(valid_gbases(), st.integers(0, 2**32))
+def test_weigh_onto_a_stack_partly_held_as_text(gbase, salt):
+    # the stack reduce_codes holds after a prefix, split at a random point
+    # into text below and ints on top, takes the rest of the list the same
+    # way: pops that empty the ints pull links back from the text
+    rng = random.Random(salt)
+    codes = gbase.codes
+    cut = rng.randint(1, len(codes))
+    stack, visited, deleted = engine.reduce_codes(codes[:cut])
+    split = rng.randint(0, len(stack))
+    below = [text_of(stack[:split // 2]), "", text_of(stack[split // 2:split])]
+    out = stack[split:]
+    more_visited, more_deleted = engine._weigh(out, below, codes[cut:])
+    expected = engine.reduce_codes(codes)
+    assert ([ord(c) for c in "".join(below)] + out,
+            visited + more_visited, deleted + more_deleted) == expected
+
