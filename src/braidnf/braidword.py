@@ -85,14 +85,14 @@ def permutation_of_word(word: BraidWord) -> tuple[int, ...]:
     """Puncture permutation induced by the word, as the tuple (image of 1, ..., image of n).
 
     Each letter contributes the transposition (i, i+1) regardless of its sign;
-    transpositions compose left to right.
+    transpositions compose left to right. A table of where each value sits in
+    the image makes every letter one swap, so the cost is O(n + L).
     """
     image = list(range(1, word.strand_count + 1))
+    where = list(range(-1, word.strand_count))  # where[v] = p with image[p] == v
     for letter in word.letters:
         i = letter.index
-        for p, v in enumerate(image):
-            if v == i:
-                image[p] = i + 1
-            elif v == i + 1:
-                image[p] = i
+        p, q = where[i], where[i + 1]
+        image[p], image[q] = i + 1, i
+        where[i], where[i + 1] = q, p
     return tuple(image)

@@ -7,6 +7,10 @@ only where the twist spliced. Two words over the same strand count are equal
 exactly when their final lists are identical link by link. GBaseWord values
 appear only at the ends. apply_letter and reduce run one step each on a
 GBaseWord (engine.twist_codes and engine.reduce_codes), after checking it.
+
+words_equal and is_identity first apply group laws that cannot change the
+verdict: free reduction, stripping the common prefix and suffix, and the
+permutation test. Only what is left reaches process_word.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 
 from . import engine
-from .braidword import BraidWord, Letter
+from .braidword import BraidWord, Letter, permutation_of_word
 from .errors import InternalStateError, ResourceLimitError
 from .gbase import GBaseWord, require_valid, standard_gbase
 
@@ -67,6 +71,13 @@ def reduce(gbase: GBaseWord) -> GBaseWord:
     return GBaseWord(gbase.strand_count, codes)
 
 
+def _require_text_strands(strand_count: int) -> None:
+    if strand_count > engine.MAX_TEXT_STRANDS:
+        raise ResourceLimitError(
+            f"strand count {strand_count} exceeds {engine.MAX_TEXT_STRANDS}"
+        )
+
+
 def process_word(word: BraidWord) -> tuple[GBaseWord, list[TwistStats]]:
     """Act on the standard g-base with each letter, reducing after every step.
 
@@ -74,10 +85,7 @@ def process_word(word: BraidWord) -> tuple[GBaseWord, list[TwistStats]]:
     counters plus the reduce counters of the normalization that followed).
     More than engine.MAX_TEXT_STRANDS strands raise ResourceLimitError.
     """
-    if word.strand_count > engine.MAX_TEXT_STRANDS:
-        raise ResourceLimitError(
-            f"strand count {word.strand_count} exceeds {engine.MAX_TEXT_STRANDS}"
-        )
+    _require_text_strands(word.strand_count)
     text = "".join(map(chr, standard_gbase(word.strand_count).codes))
     per_letter: list[TwistStats] = []
     for k, letter in enumerate(word.letters):
@@ -102,16 +110,58 @@ def process_word(word: BraidWord) -> tuple[GBaseWord, list[TwistStats]]:
     return GBaseWord(word.strand_count, map(ord, text)), per_letter
 
 
+def _freely_reduced(letters: tuple[Letter, ...]) -> list[Letter]:
+    """The letters with adjacent sigma_i sigma_i^-1 pairs cancelled, cascades included."""
+    out: list[Letter] = []
+    for letter in letters:
+        if out and out[-1] == (letter.index, -letter.sign):
+            out.pop()
+        else:
+            out.append(letter)
+    return out
+
+
 def words_equal(first: BraidWord, second: BraidWord) -> bool:
-    """Decide equality in the braid group by comparing normal forms."""
+    """Decide equality in the braid group by comparing normal forms.
+
+    Mismatched strand counts raise ValueError, and more than
+    engine.MAX_TEXT_STRANDS strands raise ResourceLimitError, before anything
+    else. Then a pre-pass applies group laws only, so it cannot change the
+    verdict:
+
+    1. freely reduce both words (cancel adjacent sigma_i sigma_i^-1);
+    2. strip the longest common prefix and suffix, as p u s = p v s iff u = v;
+    3. answer false if the remainders' permutations differ, since the normal
+       form determines the permutation;
+    4. only then compare the process_word normal forms of the remainders.
+    """
     if first.strand_count != second.strand_count:
         raise ValueError(
             f"cannot compare words over {first.strand_count} and "
             f"{second.strand_count} strands"
         )
-    return process_word(first)[0] == process_word(second)[0]
+    _require_text_strands(first.strand_count)
+    u = _freely_reduced(first.letters)
+    v = _freely_reduced(second.letters)
+    shorter = min(len(u), len(v))
+    start = 0
+    while start < shorter and u[start] == v[start]:
+        start += 1
+    stop = 0
+    while stop < shorter - start and u[-1 - stop] == v[-1 - stop]:
+        stop += 1
+    u_rest = BraidWord(first.strand_count, tuple(u[start:len(u) - stop]))
+    v_rest = BraidWord(first.strand_count, tuple(v[start:len(v) - stop]))
+    if permutation_of_word(u_rest) != permutation_of_word(v_rest):
+        return False
+    return u_rest == v_rest or process_word(u_rest)[0] == process_word(v_rest)[0]
 
 
 def is_identity(word: BraidWord) -> bool:
-    """True iff the word acts trivially, i.e. returns the standard g-base."""
-    return process_word(word)[0] == standard_gbase(word.strand_count)
+    """True iff the word acts trivially, i.e. returns the standard g-base.
+
+    This is words_equal against the empty word, so it gets the same pre-pass:
+    free reduction, then false unless the permutation is the identity, then
+    process_word on what is left.
+    """
+    return words_equal(word, BraidWord(word.strand_count, ()))

@@ -19,6 +19,65 @@ def word_from_ints(strand_count: int, values: tuple[int, ...] | list[int]) -> Br
     )
 
 
+def rewritten(values: list[int], rng: random.Random, attempts: int) -> list[int]:
+    """An equal word, reached by random commutation and braid-relation moves.
+
+    Letters on generators at least two apart swap; a triple a b a with |a|,
+    |b| adjacent and one sign throughout becomes b a b. Other positions are
+    left alone.
+    """
+    out = list(values)
+    for _ in range(attempts if len(out) >= 2 else 0):
+        k = rng.randrange(len(out) - 1)
+        a, b = out[k], out[k + 1]
+        if abs(abs(a) - abs(b)) >= 2:
+            out[k], out[k + 1] = b, a
+        elif (
+            k + 2 < len(out)
+            and out[k + 2] == a
+            and abs(abs(a) - abs(b)) == 1
+            and (a > 0) == (b > 0)
+        ):
+            out[k:k + 3] = [b, a, b]
+    return out
+
+
+# -- reference free-group action: substitute letter by letter, left to right --
+
+def _letter_image_syllables(letter: Letter, gen: int) -> tuple[tuple[int, int], ...]:
+    i = letter.index
+    if letter.sign > 0:
+        if gen == i:
+            return ((i, 1), (i + 1, 1), (i, -1))
+        if gen == i + 1:
+            return ((i, 1),)
+    else:
+        if gen == i:
+            return ((i + 1, 1),)
+        if gen == i + 1:
+            return ((i + 1, -1), (i, 1), (i + 1, 1))
+    return ((gen, 1),)
+
+
+def reference_word_image(word: BraidWord, gen: int) -> tuple[tuple[int, int], ...]:
+    """Syllables of the image of x_gen, rewriting the whole image through
+    each letter in turn and freely reducing as it is built."""
+    image = [(gen, 1)]
+    for letter in word.letters:
+        out = []
+        for g, e in image:
+            target = _letter_image_syllables(letter, g)
+            if e < 0:
+                target = tuple((h, -f) for h, f in reversed(target))
+            for syllable in target:
+                if out and out[-1] == (syllable[0], -syllable[1]):
+                    out.pop()
+                else:
+                    out.append(syllable)
+        image = out
+    return tuple(image)
+
+
 # -- Link <-> code conversion for tests written in terms of links -------------
 
 def codes_of(links) -> list[int]:

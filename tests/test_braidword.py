@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -120,3 +121,28 @@ def test_permutation_inverse_law(word):
     assert permutation_of_word(concat(word, inverse(word))) == tuple(
         range(1, word.strand_count + 1)
     )
+
+
+def naive_permutation(word: BraidWord) -> tuple[int, ...]:
+    # the double loop: every letter rescans the whole image, O(n*L)
+    image = list(range(1, word.strand_count + 1))
+    for letter in word.letters:
+        i = letter.index
+        for p, v in enumerate(image):
+            if v == i:
+                image[p] = i + 1
+            elif v == i + 1:
+                image[p] = i
+    return tuple(image)
+
+
+def test_permutation_matches_naive_double_loop():
+    rng = random.Random(84)
+    for _ in range(300):
+        n = rng.randint(1, 80)
+        values = [
+            rng.randint(1, n - 1) * rng.choice((1, -1))
+            for _ in range(rng.randint(0, 256) if n > 1 else 0)
+        ]
+        word = word_from_ints(n, values)
+        assert permutation_of_word(word) == naive_permutation(word)

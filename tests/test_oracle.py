@@ -1,14 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidnf.braidword import BraidWord, Letter, concat, inverse, parse_word
 from braidnf.errors import ResourceLimitError
 from braidnf.oracle import FreeWord, oracle_equal, word_image
 
-from conftest import braid_words
+from conftest import braid_words, reference_word_image, word_from_ints
 
 
 def letter_image(letter, gen, strand_count):
@@ -121,3 +121,26 @@ def test_syllable_ceiling_raises():
     with pytest.raises(ResourceLimitError):
         word_image(word, 1, max_syllables=50)
     assert oracle_equal(word, word, max_syllables=10**6)
+
+
+def test_oracle_equal_ceiling_raises():
+    word = parse_word(" ".join(["1"] * 40), 2)
+    with pytest.raises(ResourceLimitError):
+        oracle_equal(word, parse_word("", 2), max_syllables=50)
+
+
+def assert_images_match_reference(word):
+    for gen in range(1, word.strand_count + 1):
+        assert word_image(word, gen).syllables == reference_word_image(word, gen)
+
+
+@settings(max_examples=150, deadline=None)
+@given(braid_words(min_strands=2, max_strands=8, max_length=24))
+def test_images_match_left_to_right_reference(word):
+    assert_images_match_reference(word)
+
+
+def test_images_match_reference_at_verdict_size():
+    rng = random.Random(48)
+    values = [rng.randint(1, 7) * rng.choice((1, -1)) for _ in range(48)]
+    assert_images_match_reference(word_from_ints(8, values))

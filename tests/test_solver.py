@@ -1,10 +1,12 @@
 import dataclasses
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidnf import engine
+from braidnf import engine, solver
 from braidnf.braidword import concat, inverse, parse_word, permutation_of_word
 from braidnf.errors import InternalStateError, ResourceLimitError
 from braidnf.gbase import (
@@ -16,7 +18,7 @@ from braidnf.gbase import (
 from braidnf.oracle import oracle_equal
 from braidnf.solver import is_identity, process_word, words_equal
 
-from conftest import braid_words, find_forbidden_sequence, word_from_ints
+from conftest import braid_words, find_forbidden_sequence, rewritten, word_from_ints
 
 
 def test_empty_word_is_standard_base():
@@ -150,3 +152,84 @@ def test_strand_count_beyond_the_text_range_is_refused():
     # raised before the standard g-base is built
     with pytest.raises(ResourceLimitError, match=str(engine.MAX_TEXT_STRANDS)):
         process_word(parse_word("1", engine.MAX_TEXT_STRANDS + 1))
+
+
+@pytest.fixture
+def process_word_calls(monkeypatch):
+    """Lengths of the words words_equal hands to process_word."""
+    lengths = []
+
+    def counting(word):
+        lengths.append(len(word))
+        return process_word(word)
+
+    monkeypatch.setattr(solver, "process_word", counting)
+    return lengths
+
+
+def test_different_permutations_skip_the_gbase(process_word_calls):
+    assert not words_equal(parse_word("1 2 -3 1", 4), parse_word("2 2 -3 1", 4))
+    assert not is_identity(parse_word("1 2 -1 -2 3", 4))
+    assert process_word_calls == []
+
+
+def test_same_word_skips_the_gbase(process_word_calls):
+    word = word_from_ints(6, [1, -3, 2, 5, -4, 2, 2, -1])
+    assert words_equal(word, word)
+    # free reduction cancels in cascades
+    assert words_equal(word, concat(word, word_from_ints(6, [3, 4, -4, -3])))
+    assert words_equal(word_from_ints(3, [1, 2, -2, -1, 2]), word_from_ints(3, [2]))
+    assert is_identity(word_from_ints(6, [1, 2, 3, -3, -2, -1]))
+    assert process_word_calls == []
+
+
+def test_common_prefix_and_suffix_are_stripped(process_word_calls):
+    rng = random.Random(7)
+    for _ in range(20):
+        n = rng.randint(3, 8)
+        i = rng.randint(1, n - 1)
+        # no letter on generator i next to the middle, so nothing cancels there
+        p = [rng.randint(1, n - 1) * rng.choice((1, -1)) for _ in range(rng.randint(0, 12))]
+        s = [rng.randint(1, n - 1) * rng.choice((1, -1)) for _ in range(rng.randint(0, 12))]
+        p = [g for g in p if abs(g) != i]
+        s = [g for g in s if abs(g) != i]
+        first = word_from_ints(n, p + [i] + s)
+        second = word_from_ints(n, p + [-i] + s)
+        assert not words_equal(first, second)
+    assert process_word_calls and set(process_word_calls) == {1}
+
+
+def test_strand_limit_comes_before_the_pre_pass():
+    word = parse_word("1", engine.MAX_TEXT_STRANDS + 1)
+    with pytest.raises(ResourceLimitError):
+        words_equal(word, word)
+    with pytest.raises(ResourceLimitError):
+        is_identity(parse_word("1 -1", engine.MAX_TEXT_STRANDS + 1))
+    with pytest.raises(ValueError):
+        words_equal(word, parse_word("1", 2))
+
+
+def test_long_words_agree_with_the_oracle(process_word_calls):
+    # n=8, L=48: past the lengths where the acceptance sweeps check the oracle
+    rng = random.Random(20260808)
+    start = time.perf_counter()
+    for k in range(40):
+        values = [rng.randint(1, 7) * rng.choice((1, -1)) for _ in range(48)]
+        calls_before = len(process_word_calls)
+        if k % 2 == 0:
+            other, expected = rewritten(values, rng, 4 * len(values)), True
+        else:
+            # invert two letters of one sign: the exponent sum moves by 4, so
+            # the braid changes, while the permutation stays and the middle
+            # segment between them still reaches process_word
+            sign = rng.choice((1, -1))
+            a, b = rng.sample([p for p, g in enumerate(values) if g * sign > 0], 2)
+            other = list(values)
+            other[a], other[b] = -other[a], -other[b]
+            expected = False
+        first, second = word_from_ints(8, values), word_from_ints(8, other)
+        assert words_equal(first, second) is expected
+        assert oracle_equal(first, second) is expected
+        if not expected:
+            assert len(process_word_calls) == calls_before + 2
+    assert time.perf_counter() - start < 5
