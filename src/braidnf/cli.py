@@ -8,6 +8,7 @@ or usage problem exits 2 with a diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Iterator
 
@@ -19,6 +20,7 @@ from .oracle import oracle_equal
 from .solver import is_identity, process_word, words_equal
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="braidnf",

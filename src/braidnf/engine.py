@@ -19,7 +19,11 @@ Handy consequences, used throughout:
 twist_codes and reduce_codes take code sequences (a GBaseWord's tuple or a
 list) and return lists; they are the single steps. step_text fuses the two
 for one letter on a list held as a str of chr(code) and gives the same list
-and counters. These functions trust their input: solver.process_word starts
+and counters. Both reduce on one stack of str pieces (_push): a piece with
+no reducible pair inside is weighed only until one of its links is pushed,
+and the rest is copied as a slice. reduce_codes pushes one link per piece;
+step_text pushes the pieces of the twist output, and says why each is
+reduced. These functions trust their input: solver.process_word starts
 from the standard g-base and feeds each step_text output back in, and
 solver.apply_letter and solver.reduce call require_valid first. Their
 counters fill solver.TwistStats.
@@ -30,14 +34,14 @@ from __future__ import annotations
 import functools
 import re
 import sys
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InternalStateError
 from .gbase import SEPARATOR_CODE, code_link
 
-# step_text holds each code as one character, so the largest code the engine
-# makes for n strands, 3 * (n + 2) for a below-pass at the virtual point n + 1,
-# must not pass sys.maxunicode
+# reduce_codes and step_text hold each code as one character, so the largest
+# code the engine makes for n strands, 3 * (n + 2) for a below-pass at the
+# virtual point n + 1, must not pass sys.maxunicode
 MAX_TEXT_STRANDS = sys.maxunicode // 3 - 2
 
 
@@ -184,83 +188,108 @@ def reduce_codes(codes: Sequence[int]) -> tuple[list[int], int, int]:
     the same whatever order the rules are applied in (the test suite checks
     this against a randomized applier), which is what makes list equality
     decide braid-word equality.
+
+    The stack is _push's, fed each code as its own one-link piece, one
+    character of the list held as a str. So every code must be at most
+    sys.maxunicode; MAX_TEXT_STRANDS bounds the strand count that
+    guarantees it.
     """
-    out: list[int] = []
-    visited, deleted = _weigh(out, [], codes)
-    return out, visited, deleted
+    stack: list[str] = []
+    visited, deleted = _push(stack, "".join(map(chr, codes)))
+    return list(map(ord, "".join(stack))), visited, deleted
 
 
-def _weigh(out: list[int], below: list[str], codes: Iterable[int]) -> tuple[int, int]:
-    """Weigh each code against the stack top by reduce_codes's rules.
+def _push(stack: list[str], pieces: Sequence[str]) -> tuple[int, int]:
+    """Push each piece of chr(code) links onto a stack of str pieces by
+    reduce_codes's rules; returns the weighings and deletions.
 
-    The stack is the links of `below`, str pieces of chr(code), followed by
-    the ints of `out`. Links move from `below` into `out` only when a pop
-    empties `out`. Returns the weighings and deletions for these codes.
+    Every piece must be internally reduced: no two adjacent links of it may
+    match a rule. So a piece's links are weighed one at a time only until
+    one is pushed; each later link would meet its own predecessor on top
+    and be pushed after one weighing, so the rest of the piece is appended
+    as one slice. Each link is weighed once, plus once more after each R2
+    pop it causes, which is how `visited` is counted. A pop shortens the top
+    piece, or removes it once empty. Empty pieces, on the stack or among
+    `pieces`, hold no links and change nothing.
     """
-    visited = 0
-    deleted = 0
-    for code in codes:
-        while True:
-            visited += 1
-            if not out and not _refill(out, below):
-                out.append(code)
-                break
-            top = out[-1]
+    stack[:] = filter(None, stack)
+    # -1 stands for the top of an empty stack: no code is -1 and no rule
+    # matches it, so any link is pushed there
+    top = ord(stack[-1][-1]) if stack else -1
+    near_passes = 0  # R2 deletions
+    deleted = 0  # the others
+    for piece in pieces:
+        k = 0  # links of the piece weighed and deleted so far
+        for char in piece:
+            code = ord(char)
+            position = top % 3
+            # R2 and R1 never both match, so R2's retries may come first
+            while position != 1 and code == top - position + 1:  # R2
+                top = _pop(stack)
+                position = top % 3
+                near_passes += 1  # the endpoint may cancel further near-passes
             if top == code:  # R1: equal pair vanishes
-                if top % 3 == 1:
+                if position == 1:
                     raise InternalStateError(
                         f"adjacent equal position-0 links {code_link(top)} "
-                        f"at output offset {len(out) + sum(map(len, below))}"
+                        f"at output offset {sum(map(len, stack))}"
                     )
-                out.pop()
+                top = _pop(stack)
                 deleted += 2
-                break
-            top_position = top % 3
-            if top_position != 1 and code == top - top_position + 1:  # R2
-                out.pop()
-                deleted += 1
-                continue  # the endpoint may cancel further near-passes
-            if top_position == 1 and top != SEPARATOR_CODE and code != SEPARATOR_CODE:
+            elif position == 1 and top != SEPARATOR_CODE and code != SEPARATOR_CODE:
                 if code % 3 == 1:  # R3 must never swallow an endpoint
                     raise InternalStateError(
                         f"position-0 link {code_link(code)} in endpoint debris "
-                        f"at output offset {len(out) + sum(map(len, below))}"
+                        f"at output offset {sum(map(len, stack))}"
                     )
                 deleted += 1
-                break
-            if top == SEPARATOR_CODE and code % 3 == 0:  # R4
+            elif top == SEPARATOR_CODE and code % 3 == 0:  # R4
                 deleted += 1
+            else:
+                stack.append(piece[k:])
+                top = ord(piece[-1])
                 break
-            out.append(code)
-            break
-    return visited, deleted
+            k += 1
+    return sum(map(len, pieces)) + near_passes, deleted + near_passes
 
 
-def _refill(out: list[int], below: list[str]) -> bool:
-    """Move the last links of `below` into the empty `out`; False if none.
-
-    Cascades are short, so 16 links at a time avoids converting a whole
-    piece to ints, while each re-slice of the rest costs its length.
-    """
-    while below:
-        piece = below.pop()
-        if piece:
-            keep = max(len(piece) - 16, 0)
-            if keep:
-                below.append(piece[:keep])
-            out.extend(map(ord, piece[keep:]))
-            return True
-    return False
+def _pop(stack: list[str]) -> int:
+    """Drop the top link of a stack of non-empty pieces; returns the new top."""
+    piece = stack.pop()
+    if len(piece) > 1:
+        stack.append(piece[:-1])
+        return ord(piece[-2])
+    return ord(stack[-1][-1]) if stack else -1
 
 
 @functools.lru_cache(maxsize=1024)
 def _run_splitter(index: int) -> tuple[re.Pattern[str], dict[int, int]]:
     """The pattern whose split isolates the runs of generator `index`, and
-    the translate table that rotates a run's links."""
+    the translate table that rotates a run's links.
+
+    `[a-f][a-f]*` splits exactly as `[a-f]+` does, but lets the regex
+    engine take its fast path for a leading character set.
+    """
     lo = 3 * index + 3
     mirror = 6 * index + 11
-    pattern = re.compile(f"([{re.escape(chr(lo))}-{re.escape(chr(lo + 5))}]+)")
+    region = f"[{re.escape(chr(lo))}-{re.escape(chr(lo + 5))}]"
+    pattern = re.compile(f"({region}{region}*)")
     return pattern, {code: mirror - code for code in range(lo, lo + 6)}
+
+
+@functools.lru_cache(maxsize=2048)
+def _connectors(index: int, sign: int) -> tuple[dict[str, str], str, dict[str, str], str]:
+    """The twist connectors as text: (pre, pre_right, post, post_right).
+
+    A run's connector is chosen by the input link before or after it: the
+    left one for a link at point index - 1, which `pre` and `post` map to
+    it, else the right one.
+    """
+    left = [chr(code) for code in range(3 * index, 3 * index + 3)]
+    pre = dict.fromkeys(left, "".join(map(chr, prefix_codes(index, sign, True))))
+    post = dict.fromkeys(left, "".join(map(chr, postfix_codes(index, sign, True))))
+    return (pre, "".join(map(chr, prefix_codes(index, sign, False))),
+            post, "".join(map(chr, postfix_codes(index, sign, False))))
 
 
 def step_text(text: str, index: int, sign: int) -> tuple[str, int, int, int]:
@@ -268,82 +297,53 @@ def step_text(text: str, index: int, sign: int) -> tuple[str, int, int, int]:
 
     Returns (text, inserted, visited, deleted): the reduced list after the
     letter and the counters of reduce_codes(twist_codes(...)). Both equal
-    that composition's, but the work is done only where the twist splices.
+    that composition's, but rule work is done only where the twist splices.
 
     A regex split (in C) cuts the list into the runs of in-region links and
-    the gaps between them, which the twist copies unchanged. Each run's
-    twist output (twist_codes's steps 1-3) is weighed link by link against
-    the reduce_codes stack, and so is each short gap. A long gap is weighed
-    until one of its links is pushed; the rest of it is copied as a slice,
-    and its length is added to `visited`. That is exact for two reasons:
+    the gaps between them, which the twist copies unchanged. The twist
+    output is then a sequence of pieces: the gaps, each run's detach links
+    (twist_codes's step 1), its connectors (step 3) and the run rotated
+    (step 2). _push weighs each piece only until one of its links is
+    pushed and copies the rest as a slice, which is exact because every
+    piece is internally reduced:
 
-      * every rule, and both InternalStateError checks, decide from the pair
-        (stack top, incoming link) alone;
-      * no adjacent pair of a gap matches a rule, since the input is reduced.
+      * a gap is a slice of the reduced input;
+      * the rotation maps each rule's pattern to itself, and a run holds no
+        separator, so a rotated run is as reduced as the run was (a detach
+        link that joins the run is the opposite pass at the point of the
+        run's first link, which no rule matches);
+      * a connector's two links are +-1 passes at distinct points.
 
-    So once a gap link is on top, each later one meets its own predecessor
-    there and is pushed after one weighing. The first gap goes onto the empty
-    stack the same way. If a cascade pops below the links held as ints,
-    _weigh pulls earlier output back onto the stack. So `visited` and
-    `deleted` count exactly the weighings and deletions of the full scan.
-    Every code must be at most sys.maxunicode, which MAX_TEXT_STRANDS bounds.
+    Every rule, and both InternalStateError checks, decide from the pair
+    (stack top, incoming link) alone, so `visited` and `deleted` count
+    exactly the weighings and deletions of the full scan, and a malformed
+    input is caught wherever a splice weighs it. Every code must be at most
+    sys.maxunicode, which MAX_TEXT_STRANDS bounds.
     """
     pattern, table = _run_splitter(index)
+    pre, pre_right, post, post_right = _connectors(index, sign)
     separator = chr(SEPARATOR_CODE)
-    # the connectors as text, chosen by the input link before or after the
-    # run: the left ones for a link at point index - 1, else the right ones
-    left = [chr(code) for code in range(3 * index, 3 * index + 3)]
-    pre_right = "".join(map(chr, prefix_codes(index, sign, False)))
-    pre = dict.fromkeys(left, "".join(map(chr, prefix_codes(index, sign, True))))
-    post_right = "".join(map(chr, postfix_codes(index, sign, False)))
-    post = dict.fromkeys(left, "".join(map(chr, postfix_codes(index, sign, True))))
 
-    pieces = pattern.split(text)  # gap, run, gap, ..., run, gap
-    below = [pieces[0][:-1]]
-    out = [ord(pieces[0][-1])]
-    visited = len(pieces[0])
-    deleted = 0
-    inserted = 4 * (len(pieces) // 2)
-    pending: list[str] = []  # links still to be weighed, in order
-    for p in range(1, len(pieces), 2):
-        run, gap = pieces[p], pieces[p + 1]
-        before = pieces[p - 1][-1]
+    parts = pattern.split(text)  # gap, run, gap, ..., run, gap
+    pieces = [parts[0]]
+    inserted = 4 * (len(parts) // 2)
+    for p in range(1, len(parts), 2):
+        run, gap = parts[p], parts[p + 1]
+        before = parts[p - 1][-1]
         if before == separator:
             try:
                 added = detach_codes(
                     ord(run[0]), ord(run[1] if len(run) > 1 else gap[0]), index
                 )
             except InternalStateError as error:
-                offset = sum(map(len, pieces[:p]))
+                offset = sum(map(len, parts[:p]))
                 raise InternalStateError(f"link {offset}: {error}") from error
             before = chr(added[0])
-            pending.append(before)
+            pieces.append(before)
             run = "".join(map(chr, added[1:])) + run  # rotated with the run
             inserted += len(added)
-        pending.append(pre.get(before, pre_right))
-        pending.append(run.translate(table))
-        pending.append(post.get(gap[0], post_right))
-        if len(gap) <= 8:  # a slice would save less than flushing `out` costs
-            pending.append(gap)
-            continue
-        step_visited, step_deleted = _weigh(out, below, map(ord, "".join(pending)))
-        visited += step_visited
-        deleted += step_deleted
-        pending.clear()
-        for k, char in enumerate(gap):
-            code = ord(char)
-            step_visited, step_deleted = _weigh(out, below, (code,))
-            visited += step_visited
-            deleted += step_deleted
-            # adjacent stack entries always differ, so `code` is on top
-            # exactly when it was pushed
-            if out and out[-1] == code:
-                out.pop()
-                below.append("".join(map(chr, out)))
-                below.append(gap[k:-1])
-                out = [ord(gap[-1])]
-                visited += len(gap) - k - 1
-                break
-    step_visited, step_deleted = _weigh(out, below, map(ord, "".join(pending)))
-    below.append("".join(map(chr, out)))
-    return "".join(below), inserted, visited + step_visited, deleted + step_deleted
+        pieces += (pre.get(before, pre_right), run.translate(table),
+                   post.get(gap[0], post_right), gap)
+    stack: list[str] = []
+    visited, deleted = _push(stack, pieces)
+    return "".join(stack), inserted, visited, deleted

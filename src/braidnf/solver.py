@@ -65,7 +65,12 @@ def apply_letter(gbase: GBaseWord, letter: Letter) -> tuple[GBaseWord, TwistStat
 
 
 def reduce(gbase: GBaseWord) -> GBaseWord:
-    """Reduce a structurally valid (possibly unreduced) g-base to normal form."""
+    """Reduce a structurally valid (possibly unreduced) g-base to normal form.
+
+    More than engine.MAX_TEXT_STRANDS strands raise ResourceLimitError before
+    the g-base is checked.
+    """
+    _require_text_strands(gbase.strand_count)
     require_valid(gbase)
     codes, _, _ = engine.reduce_codes(gbase.codes)
     return GBaseWord(gbase.strand_count, codes)

@@ -1,5 +1,6 @@
 import pytest
 
+from braidnf import cli
 from braidnf.cli import main
 from braidnf.engine import MAX_TEXT_STRANDS
 
@@ -108,6 +109,29 @@ def test_missing_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["equal", "1", "2"])
     assert excinfo.value.code == 2
+
+
+def test_one_parser_serves_calls_in_sequence(capsys):
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as usage_error:
+            code = usage_error.code
+        return (code, *capsys.readouterr())
+
+    calls = [
+        ["normal-form", "--strands", "2", "1"],
+        ["equal", "--strands", "3", "1 2 1", "2 1 2"],
+        ["equal", "1", "2"],  # usage error: --strands is missing
+        ["normal-form", "--strands", "2", "1"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert [outcome(argv) for argv in calls] == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_bench_header_and_determinism(capsys):

@@ -10,6 +10,7 @@ from braidnf import engine, solver
 from braidnf.braidword import concat, inverse, parse_word, permutation_of_word
 from braidnf.errors import InternalStateError, ResourceLimitError
 from braidnf.gbase import (
+    GBaseWord,
     endpoints_permutation,
     format_gbase,
     standard_gbase,
@@ -152,6 +153,13 @@ def test_strand_count_beyond_the_text_range_is_refused():
     # raised before the standard g-base is built
     with pytest.raises(ResourceLimitError, match=str(engine.MAX_TEXT_STRANDS)):
         process_word(parse_word("1", engine.MAX_TEXT_STRANDS + 1))
+
+
+def test_reduce_refuses_strands_beyond_the_text_range_first():
+    # reduce_codes holds links as characters; the two adjacent separators
+    # would fail require_valid, which comes second
+    with pytest.raises(ResourceLimitError, match=str(engine.MAX_TEXT_STRANDS)):
+        solver.reduce(GBaseWord(engine.MAX_TEXT_STRANDS + 1, (1, 1)))
 
 
 @pytest.fixture
