@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import time
 
-from .gbase import standard_gbase
 from .prng import SplitMix64, random_word
 from .solver import TwistStats, process_word
 
@@ -34,10 +33,8 @@ def total_links_visited(per_letter: list[TwistStats]) -> int:
 
 
 def peak_list_length(strand_count: int, per_letter: list[TwistStats]) -> int:
-    """Longest list ever held, including the starting standard g-base."""
-    return max(
-        [len(standard_gbase(strand_count))] + [s.pre_reduce_length for s in per_letter]
-    )
+    """Longest list ever held, including the starting standard g-base (2n + 1 links)."""
+    return max([2 * strand_count + 1] + [s.pre_reduce_length for s in per_letter])
 
 
 def bench_rows(strand_count: int, length: int, count: int, seed: int) -> list[BenchRow]:

@@ -16,15 +16,13 @@ Handy consequences, used throughout:
                                    (point reflects across i, i+1; position
                                    flips sign; one subtraction does both)
 
-twist_codes and reduce_codes take code sequences (a GBaseWord's tuple or a
-list) and return lists; they are the single steps. step_text fuses the two
-for one letter on a list held as a str of chr(code) and gives the same list
-and counters. Both reduce on one stack of str pieces (_push): a piece with
-no reducible pair inside is weighed only until one of its links is pushed,
-and the rest is copied as a slice. reduce_codes pushes one link per piece;
-step_text pushes the pieces of the twist output, and says why each is
-reduced. These functions trust their input: solver.process_word starts
-from the standard g-base and feeds each step_text output back in, and
+twist_pieces applies one half-twist to a list held as a str of chr(code)
+and returns the output as pieces with no reducible pair inside. _push
+reduces onto one stack of str pieces: a piece is weighed only until one of
+its links is pushed, and the rest is copied as a slice. step_text is one
+letter, twist_pieces then _push; reduce_codes pushes one link per piece.
+These functions trust their input: solver.process_word starts from the
+standard g-base and feeds each step_text output back in, and
 solver.apply_letter and solver.reduce call require_valid first. Their
 counters fill solver.TwistStats.
 """
@@ -39,13 +37,13 @@ from typing import Sequence
 from .errors import InternalStateError
 from .gbase import SEPARATOR_CODE, code_link
 
-# reduce_codes and step_text hold each code as one character, so the largest
-# code the engine makes for n strands, 3 * (n + 2) for a below-pass at the
-# virtual point n + 1, must not pass sys.maxunicode
+# reduce_codes and twist_pieces hold each code as one character, so the
+# largest code the engine makes for n strands, 3 * (n + 2) for a below-pass
+# at the virtual point n + 1, must not pass sys.maxunicode
 MAX_TEXT_STRANDS = sys.maxunicode // 3 - 2
 
 
-def detach_codes(first: int, second: int | None, index: int) -> list[int]:
+def detach_codes(first: int, second: int, index: int) -> list[int]:
     """Links to insert after a separator that directly precedes a run.
 
     `first` is the run's first link, `second` the following link of the path.
@@ -59,21 +57,20 @@ def detach_codes(first: int, second: int | None, index: int) -> list[int]:
         return [base]
     if first == base + 7:  # (i+1,0)
         return [base + 9]
-    if first == base + 5 and second is not None:  # (i,1) then ...
+    if first == base + 5:  # (i,1) then ...
         second_point = second // 3 - 1
         if second_point == index + 1:
             return [base]
         if second_point == index - 1:
             return [base, base + 3]
-    if first == base + 8 and second is not None:  # (i+1,1) then ...
+    if first == base + 8:  # (i+1,1) then ...
         second_point = second // 3 - 1
         if second_point == index + 2:
             return [base + 9, base + 6]
         if second_point == index:
             return [base + 9]
     raise InternalStateError(
-        f"run after a separator starts {code_link(first)} -> "
-        f"{code_link(second) if second is not None else None}, "
+        f"run after a separator starts {code_link(first)} -> {code_link(second)}, "
         f"which no detachment case covers"
     )
 
@@ -90,77 +87,6 @@ def postfix_codes(index: int, sign: int, to_left: bool) -> list[int]:
     if to_left:
         return [base + 6, base + 3] if sign > 0 else [base + 8, base + 5]
     return [base + 5, base + 8] if sign > 0 else [base + 3, base + 6]
-
-
-def twist_codes(codes: Sequence[int], index: int, sign: int) -> tuple[list[int], int]:
-    """Apply one half-twist; returns the unreduced list and the insert count.
-
-    The generator with index i acts as a half-twist that rotates a small disk
-    around punctures i and i+1 by 180 degrees (positively or negatively). On
-    the list the twist is local: links outside the twisted region (points i
-    and i+1) are copied through, and each maximal run of in-region links is
-    rewritten in one left-to-right pass:
-
-      1. If the link before the run is the basepoint separator, the path is
-         first nudged off the basepoint: one or two below-pass links are
-         inserted right after the separator so that the run is preceded by
-         an ordinary link (detach_codes: six patterns, one per way a path
-         can leave the basepoint into the twisted region). For boundary
-         generators this may create a link at the virtual point 0 or n+1;
-         the reducer deletes it again.
-      2. The run itself is rotated in place: each link's position flips sign
-         and its point reflects across the twist center (i <-> i+1).
-      3. Two-link connectors are spliced in before and after the rotated run
-         to rejoin it with the rest of the path (prefix_codes/postfix_codes),
-         passing below the twisted region when the neighbouring link lies to
-         its left and above when it lies to its right (mirrored for a
-         negative twist).
-
-    Runs are located against the input list and the scan resumes after each
-    run, so links inserted by one run are never re-twisted. The insert count
-    covers steps 1 and 3, so the output length is the input length plus it.
-    The output is unreduced; reduce_codes normalizes it.
-    """
-    lo = 3 * index + 3  # in-region codes are lo <= code < lo + 6
-    hi = lo + 6
-    mirror = 6 * index + 11
-    left_point = index - 1
-    pre_left = prefix_codes(index, sign, True)
-    pre_right = prefix_codes(index, sign, False)
-    post_left = postfix_codes(index, sign, True)
-    post_right = postfix_codes(index, sign, False)
-
-    out: list[int] = []
-    inserted = 0
-    total = len(codes)
-    k = 0
-    while k < total:
-        code = codes[k]
-        if not lo <= code < hi:
-            out.append(code)
-            k += 1
-            continue
-        start = k
-        while k < total and lo <= codes[k] < hi:
-            k += 1
-        run = codes[start:k]
-        before = codes[start - 1]
-        if before == SEPARATOR_CODE:
-            try:
-                added = detach_codes(
-                    codes[start], codes[start + 1] if start + 1 < total else None, index
-                )
-            except InternalStateError as error:
-                raise InternalStateError(f"link {start}: {error}") from error
-            before = added[0]
-            out.append(before)
-            run = [*added[1:], *run]
-            inserted += len(added)
-        out += pre_left if before // 3 - 1 == left_point else pre_right
-        out += [mirror - c for c in run]
-        out += post_left if codes[k] // 3 - 1 == left_point else post_right
-        inserted += 4
-    return out, inserted
 
 
 def reduce_codes(codes: Sequence[int]) -> tuple[list[int], int, int]:
@@ -292,20 +218,38 @@ def _connectors(index: int, sign: int) -> tuple[dict[str, str], str, dict[str, s
             post, "".join(map(chr, postfix_codes(index, sign, False))))
 
 
-def step_text(text: str, index: int, sign: int) -> tuple[str, int, int, int]:
-    """One letter on a reduced list held as a str of chr(code).
+def twist_pieces(text: str, index: int, sign: int) -> tuple[list[str], int]:
+    """Apply one half-twist to a reduced list held as a str of chr(code);
+    returns the unreduced output, cut into pieces, and the insert count.
 
-    Returns (text, inserted, visited, deleted): the reduced list after the
-    letter and the counters of reduce_codes(twist_codes(...)). Both equal
-    that composition's, but rule work is done only where the twist splices.
+    The generator with index i acts as a half-twist that rotates a small disk
+    around punctures i and i+1 by 180 degrees (positively or negatively). On
+    the list the twist is local. A regex split (in C) cuts the list into the
+    maximal runs of in-region links (points i and i+1) and the gaps between
+    them, which are copied through, and each run is rewritten:
 
-    A regex split (in C) cuts the list into the runs of in-region links and
-    the gaps between them, which the twist copies unchanged. The twist
-    output is then a sequence of pieces: the gaps, each run's detach links
-    (twist_codes's step 1), its connectors (step 3) and the run rotated
-    (step 2). _push weighs each piece only until one of its links is
-    pushed and copies the rest as a slice, which is exact because every
-    piece is internally reduced:
+      1. If the link before the run is the basepoint separator, the path is
+         first nudged off the basepoint: one or two below-pass links are
+         inserted right after the separator so that the run is preceded by
+         an ordinary link (detach_codes: six patterns, one per way a path
+         can leave the basepoint into the twisted region). For boundary
+         generators this may create a link at the virtual point 0 or n+1;
+         the reduction deletes it again.
+      2. The run itself is rotated in place: each link's position flips sign
+         and its point reflects across the twist center (i <-> i+1).
+      3. Two-link connectors are spliced in before and after the rotated run
+         to rejoin it with the rest of the path (prefix_codes/postfix_codes),
+         passing below the twisted region when the neighbouring link lies to
+         its left and above when it lies to its right (mirrored for a
+         negative twist).
+
+    Runs are located against the input list, so links inserted for one run
+    are never re-twisted. The insert count covers steps 1 and 3, so the
+    output length is the input length plus it.
+
+    The pieces are the gaps and, for each run, its detach link if any, its
+    two connectors and the run rotated. Each is internally reduced, which
+    is what lets _push copy it as a slice:
 
       * a gap is a slice of the reduced input;
       * the rotation maps each rule's pattern to itself, and a run holds no
@@ -314,11 +258,7 @@ def step_text(text: str, index: int, sign: int) -> tuple[str, int, int, int]:
         run's first link, which no rule matches);
       * a connector's two links are +-1 passes at distinct points.
 
-    Every rule, and both InternalStateError checks, decide from the pair
-    (stack top, incoming link) alone, so `visited` and `deleted` count
-    exactly the weighings and deletions of the full scan, and a malformed
-    input is caught wherever a splice weighs it. Every code must be at most
-    sys.maxunicode, which MAX_TEXT_STRANDS bounds.
+    Every code must be at most sys.maxunicode, which MAX_TEXT_STRANDS bounds.
     """
     pattern, table = _run_splitter(index)
     pre, pre_right, post, post_right = _connectors(index, sign)
@@ -344,6 +284,21 @@ def step_text(text: str, index: int, sign: int) -> tuple[str, int, int, int]:
             inserted += len(added)
         pieces += (pre.get(before, pre_right), run.translate(table),
                    post.get(gap[0], post_right), gap)
+    return pieces, inserted
+
+
+def step_text(text: str, index: int, sign: int) -> tuple[str, int, int, int]:
+    """One letter on a reduced list held as a str of chr(code).
+
+    Returns (text, inserted, visited, deleted): the reduced list after the
+    letter and the counters of reduce_codes on the joined twist_pieces
+    output. _push takes the pieces as they are, so rule work is done only
+    where the twist splices. Every rule, and both InternalStateError checks,
+    decide from the pair (stack top, incoming link) alone, so `visited` and
+    `deleted` count exactly the weighings and deletions of the full scan,
+    and a malformed input is caught wherever a splice weighs it.
+    """
+    pieces, inserted = twist_pieces(text, index, sign)
     stack: list[str] = []
     visited, deleted = _push(stack, pieces)
     return "".join(stack), inserted, visited, deleted

@@ -72,8 +72,14 @@ def _images(word: BraidWord, max_syllables: int) -> list[list[int]]:
     inverse, A(x_i) becomes the old A(x_{i+1}) and A(x_{i+1}) becomes
     A(x_{i+1})^-1 A(x_i) A(x_{i+1}). Both factors are reduced, so free
     cancellation happens only at the junctions. Raises ResourceLimitError
-    once any image under a suffix of the word exceeds max_syllables.
+    once any image under a suffix of the word exceeds max_syllables, and
+    before anything is built when the n starting images, which hold n
+    syllables between them, already do.
     """
+    if word.strand_count > max_syllables:
+        raise ResourceLimitError(
+            f"{word.strand_count} oracle starting images exceed {max_syllables} syllables"
+        )
     images = [[g] for g in range(1, word.strand_count + 1)]
     for letter in reversed(word.letters):
         i = letter.index - 1

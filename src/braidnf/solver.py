@@ -5,8 +5,9 @@ fused twist and reduction (engine.step_text) on the list held as a str, so
 the list the next letter sees is always in normal form; the reduction works
 only where the twist spliced. Two words over the same strand count are equal
 exactly when their final lists are identical link by link. GBaseWord values
-appear only at the ends. apply_letter and reduce run one step each on a
-GBaseWord (engine.twist_codes and engine.reduce_codes), after checking it.
+appear only at the ends. apply_letter runs the same twist
+(engine.twist_pieces) without the reduction, and reduce runs
+engine.reduce_codes, each on a GBaseWord after checking it.
 
 words_equal and is_identity first apply group laws that cannot change the
 verdict: free reduction, stripping the common prefix and suffix, and the
@@ -45,7 +46,8 @@ def apply_letter(gbase: GBaseWord, letter: Letter) -> tuple[GBaseWord, TwistStat
     The input must be reduced: the twist's detachment patterns assume the
     conventions that reduction enforces, so anything else raises
     MalformedGBaseError. A letter whose index is not in 1..n-1 or whose sign
-    is not +-1 raises ValueError.
+    is not +-1 raises ValueError, and more than engine.MAX_TEXT_STRANDS
+    strands raise ResourceLimitError before the g-base is checked.
     """
     if not 1 <= letter.index <= gbase.strand_count - 1:
         raise ValueError(
@@ -54,14 +56,17 @@ def apply_letter(gbase: GBaseWord, letter: Letter) -> tuple[GBaseWord, TwistStat
         )
     if letter.sign not in (1, -1):
         raise ValueError(f"generator sign must be +1 or -1, got {letter.sign}")
+    _require_text_strands(gbase.strand_count)
     require_valid(gbase, reduced_expected=True)
-    codes, inserted = engine.twist_codes(gbase.codes, letter.index, letter.sign)
+    pieces, inserted = engine.twist_pieces(
+        "".join(map(chr, gbase.codes)), letter.index, letter.sign
+    )
     stats = TwistStats(
         links_visited=len(gbase),
         links_inserted=inserted,
-        pre_reduce_length=len(codes),
+        pre_reduce_length=len(gbase) + inserted,
     )
-    return GBaseWord(gbase.strand_count, codes), stats
+    return GBaseWord(gbase.strand_count, map(ord, "".join(pieces))), stats
 
 
 def reduce(gbase: GBaseWord) -> GBaseWord:

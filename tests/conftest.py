@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from hypothesis import strategies as st
 
+from braidnf import engine
 from braidnf.braidword import BraidWord, Letter
 from braidnf.gbase import GBaseWord, Link, code_link, link_code
 
@@ -136,6 +138,77 @@ def random_valid_gbase(rng: random.Random, max_strands=6) -> GBaseWord:
 @st.composite
 def valid_gbases(draw, max_strands=6) -> GBaseWord:
     return random_valid_gbase(random.Random(draw(st.integers(0, 2**48))), max_strands)
+
+
+# -- Link-level reference twist, run by run, for the engine's twist_pieces ---
+
+@dataclasses.dataclass(frozen=True)
+class LocalRun:
+    """A maximal block links[start..end] with points in {i, i+1} and its neighbours."""
+    start: int
+    end: int
+    before: int  # index of the link just before the run
+    after: int   # index of the link just after the run
+
+
+def find_local_runs(gbase: GBaseWord, index: int) -> list[LocalRun]:
+    """Maximal runs of links with point in {index, index+1}, left to right."""
+    if not 1 <= index <= gbase.strand_count - 1:
+        raise ValueError(f"generator index {index} out of range for {gbase.strand_count} strands")
+    runs = []
+    points = (index, index + 1)
+    start = None
+    for k, link in enumerate(gbase.links):
+        if link.point in points:
+            if start is None:
+                start = k
+        elif start is not None:
+            runs.append(LocalRun(start, k - 1, start - 1, k))
+            start = None
+    # the list ends with a separator, so a run never reaches the last index
+    return runs
+
+
+def twist_link(link: Link, index: int) -> Link:
+    """Rotate one link by the half-twist at index: reflect its point across
+    index + 1/2 and flip its position."""
+    return Link(2 * index + 1 - link.point, -link.position)
+
+
+def detach(first: Link, second: Link, index: int) -> list[Link]:
+    first_code, second_code = codes_of([first, second])
+    return links_of(engine.detach_codes(first_code, second_code, index))
+
+
+def prefix(index: int, sign: int, before_point: int) -> list[Link]:
+    return links_of(engine.prefix_codes(index, sign, before_point == index - 1))
+
+
+def postfix(index: int, sign: int, after_point: int) -> list[Link]:
+    return links_of(engine.postfix_codes(index, sign, after_point == index - 1))
+
+
+def reference_apply(gbase: GBaseWord, letter: Letter) -> tuple[Link, ...]:
+    """The unreduced twist of a reduced g-base, composed run by run from Links."""
+    i = letter.index
+    links = gbase.links
+    out = []
+    cursor = 0
+    for run in find_local_runs(gbase, i):
+        out.extend(links[cursor:run.start])
+        run_links = list(links[run.start:run.end + 1])
+        before = links[run.before]
+        if before == SEPARATOR:
+            added = detach(run_links[0], links[run.start + 1], i)
+            before = added[0]
+            out.append(before)
+            run_links = added[1:] + run_links
+        out.extend(prefix(i, letter.sign, before.point))
+        out.extend(twist_link(link, i) for link in run_links)
+        out.extend(postfix(i, letter.sign, links[run.after].point))
+        cursor = run.end + 1
+    out.extend(links[cursor:])
+    return tuple(out)
 
 
 # -- independent fixpoint oracle: apply rules atomically in random order -----

@@ -129,6 +129,23 @@ def test_oracle_equal_ceiling_raises():
         oracle_equal(word, parse_word("", 2), max_syllables=50)
 
 
+def test_ceiling_covers_the_starting_images():
+    # the n starting images hold n syllables between them, so more strands
+    # than the ceiling raise before any image is built
+    wide, empty = BraidWord(11, ()), BraidWord(10, ())
+    with pytest.raises(ResourceLimitError, match="11 oracle starting images exceed 10 syllables"):
+        word_image(wide, 1, max_syllables=10)
+    with pytest.raises(ResourceLimitError, match="11 oracle starting images exceed 10 syllables"):
+        oracle_equal(wide, wide, max_syllables=10)
+    assert word_image(empty, 1, max_syllables=10).syllables == ((1, 1),)
+    assert oracle_equal(empty, empty, max_syllables=10)
+    # bad arguments are still named first
+    with pytest.raises(ValueError):
+        word_image(wide, 12, max_syllables=10)
+    with pytest.raises(ValueError):
+        oracle_equal(wide, empty, max_syllables=10)
+
+
 def assert_images_match_reference(word):
     for gen in range(1, word.strand_count + 1):
         assert word_image(word, gen).syllables == reference_word_image(word, gen)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidnf import engine, solver
-from braidnf.braidword import concat, inverse, parse_word, permutation_of_word
+from braidnf.braidword import Letter, concat, inverse, parse_word, permutation_of_word
 from braidnf.errors import InternalStateError, ResourceLimitError
 from braidnf.gbase import (
     GBaseWord,
@@ -160,6 +160,12 @@ def test_reduce_refuses_strands_beyond_the_text_range_first():
     # would fail require_valid, which comes second
     with pytest.raises(ResourceLimitError, match=str(engine.MAX_TEXT_STRANDS)):
         solver.reduce(GBaseWord(engine.MAX_TEXT_STRANDS + 1, (1, 1)))
+
+
+def test_apply_letter_refuses_strands_beyond_the_text_range_first():
+    # the twist holds links as characters too; require_valid comes second
+    with pytest.raises(ResourceLimitError, match=str(engine.MAX_TEXT_STRANDS)):
+        solver.apply_letter(GBaseWord(engine.MAX_TEXT_STRANDS + 1, (1, 1)), Letter(1, 1))
 
 
 @pytest.fixture
