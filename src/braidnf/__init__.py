@@ -38,6 +38,7 @@ from .solver import (
     TwistStats,
     apply_letter,
     is_identity,
+    normal_form,
     process_word,
     reduce,
     words_equal,
@@ -62,6 +63,7 @@ __all__ = [
     "format_word",
     "inverse",
     "is_identity",
+    "normal_form",
     "oracle_equal",
     "parse_gbase",
     "parse_word",

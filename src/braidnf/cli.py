@@ -17,7 +17,7 @@ from .braidword import parse_word
 from .errors import MalformedGBaseError, MalformedWordError, ResourceLimitError
 from .gbase import format_gbase
 from .oracle import oracle_equal
-from .solver import is_identity, process_word, words_equal
+from .solver import is_identity, normal_form, words_equal
 
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
@@ -79,8 +79,7 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "normal-form":
         for text in _batch_words(args):
-            gbase, _ = process_word(parse_word(text, args.strands))
-            print(format_gbase(gbase), flush=True)
+            print(format_gbase(normal_form(parse_word(text, args.strands))), flush=True)
         return 0
 
     if args.command in ("equal", "oracle-equal"):

@@ -19,12 +19,14 @@ this action and the g-base engine, which is fine: equality verdicts are
 convention independent, so the oracle certifies verdicts, never link lists.
 
 Images can grow exponentially in the word length, so every entry point takes
-a syllable ceiling and raises ResourceLimitError instead of thrashing.
+a ceiling on the syllables of all n images together and raises
+ResourceLimitError instead of thrashing.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 from .braidword import BraidWord
 from .errors import ResourceLimitError
@@ -32,6 +34,9 @@ from .errors import ResourceLimitError
 Syllable = tuple[int, int]  # (generator 1..n, exponent +1 or -1)
 
 DEFAULT_MAX_SYLLABLES = 1_000_000
+
+# _images holds a syllable as one character, and x_n^-1 is chr(2n + 1)
+MAX_STRANDS = (sys.maxunicode - 1) // 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -49,49 +54,59 @@ class FreeWord:
         return len(self.syllables)
 
 
-def _product(first: list[int], second: list[int]) -> list[int]:
-    """Free product of two reduced words as signed generators: cancel at the junction."""
+def _product(first: str, second: str) -> str:
+    """Free product of two reduced words: cancel at the junction."""
     k = 0
     limit = min(len(first), len(second))
-    while k < limit and first[-1 - k] == -second[k]:
+    while k < limit and ord(first[-1 - k]) ^ ord(second[k]) == 1:
         k += 1
     return first[: len(first) - k] + second[k:]
 
 
-def _inverse(word: list[int]) -> list[int]:
-    return [-g for g in reversed(word)]
+def _images(word: BraidWord, max_syllables: int) -> list[str]:
+    """Images of x_1..x_n under the whole word, freely reduced.
 
-
-def _images(word: BraidWord, max_syllables: int) -> list[list[int]]:
-    """Images of x_1..x_n under the whole word, freely reduced, as signed generators.
-
+    An image is a str with one character per syllable: x_g^e is chr(2g) for
+    e = +1 and chr(2g + 1) for e = -1, so inverting a syllable flips the low
+    bit of its code and inverting an image reverses it and flips every code.
     With A_j the action of letters j..L, A_j = A_{j+1} o phi_j, so one pass
     over the letters from last to first builds all n images at once, each
     step recombining whole images: for sigma_i, A(x_i) becomes
     A(x_i) A(x_{i+1}) A(x_i)^-1 and A(x_{i+1}) the old A(x_i); for its
     inverse, A(x_i) becomes the old A(x_{i+1}) and A(x_{i+1}) becomes
     A(x_{i+1})^-1 A(x_i) A(x_{i+1}). Both factors are reduced, so free
-    cancellation happens only at the junctions. Raises ResourceLimitError
-    once any image under a suffix of the word exceeds max_syllables, and
-    before anything is built when the n starting images, which hold n
-    syllables between them, already do.
+    cancellation happens only at the junctions.
+
+    Raises ResourceLimitError once the n images under a suffix of the word
+    hold more than max_syllables between them, and before anything is built
+    when the n starting images, which hold n syllables, already do, or when
+    a code would pass sys.maxunicode (more than MAX_STRANDS strands).
     """
-    if word.strand_count > max_syllables:
+    n = word.strand_count
+    if n > MAX_STRANDS:
+        raise ResourceLimitError(f"{n} oracle strands exceed {MAX_STRANDS}")
+    if n > max_syllables:
         raise ResourceLimitError(
-            f"{word.strand_count} oracle starting images exceed {max_syllables} syllables"
+            f"{n} oracle starting images exceed {max_syllables} syllables"
         )
-    images = [[g] for g in range(1, word.strand_count + 1)]
+    flip = "".join(chr(c ^ 1) for c in range(2 * n + 2))  # flip[c] is code c ^ 1
+    images = [chr(2 * g) for g in range(1, n + 1)]
+    total = n
     for letter in reversed(word.letters):
         i = letter.index - 1
         here, right = images[i], images[i + 1]
         if letter.sign > 0:
-            grown = _product(_product(here, right), _inverse(here))
+            grown = _product(_product(here, right), here[::-1].translate(flip))
             images[i], images[i + 1] = grown, here
+            total += len(grown) - len(right)
         else:
-            grown = _product(_product(_inverse(right), here), right)
+            grown = _product(_product(right[::-1].translate(flip), here), right)
             images[i], images[i + 1] = right, grown
-        if len(grown) > max_syllables:
-            raise ResourceLimitError(f"oracle image exceeded {max_syllables} syllables")
+            total += len(grown) - len(here)
+        if total > max_syllables:
+            raise ResourceLimitError(
+                f"oracle images exceeded {max_syllables} syllables in total"
+            )
     return images
 
 
@@ -103,13 +118,13 @@ def word_image(
     The letters act left to right: the image of x_gen under the first letter
     is rewritten through the second, and so on. It is computed, with the
     images of all other generators, in one pass over the letters from last
-    to first (see _images), so the ceiling applies to every generator's
-    image under every suffix of the word.
+    to first (see _images), so the ceiling applies to the images of all
+    generators together, under every suffix of the word.
     """
     if not 1 <= gen <= word.strand_count:
         raise ValueError(f"generator {gen} out of range for {word.strand_count} strands")
     image = _images(word, max_syllables)[gen - 1]
-    return FreeWord(tuple((abs(g), 1 if g > 0 else -1) for g in image))
+    return FreeWord(tuple((c >> 1, -1 if c & 1 else 1) for c in map(ord, image)))
 
 
 def oracle_equal(

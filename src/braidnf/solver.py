@@ -10,8 +10,10 @@ appear only at the ends. apply_letter runs the same twist
 engine.reduce_codes, each on a GBaseWord after checking it.
 
 words_equal and is_identity first apply group laws that cannot change the
-verdict: free reduction, stripping the common prefix and suffix, and the
-permutation test. Only what is left reaches process_word.
+verdict: the permutation test, cancelling sigma_i ... sigma_i^-1 pairs across
+commuting letters (_reduced), and stripping the common prefix and suffix.
+Only what is left reaches process_word. normal_form runs process_word on the
+reduced word, which has the same normal form.
 """
 
 from __future__ import annotations
@@ -93,7 +95,9 @@ def process_word(word: BraidWord) -> tuple[GBaseWord, list[TwistStats]]:
 
     Returns the final reduced g-base and one stats record per letter (twist
     counters plus the reduce counters of the normalization that followed).
-    More than engine.MAX_TEXT_STRANDS strands raise ResourceLimitError.
+    More than engine.MAX_TEXT_STRANDS strands raise ResourceLimitError. An
+    InternalStateError names the letter's index k and value, and carries k
+    as its letter attribute.
     """
     _require_text_strands(word.strand_count)
     text = "".join(map(chr, standard_gbase(word.strand_count).codes))
@@ -105,9 +109,7 @@ def process_word(word: BraidWord) -> tuple[GBaseWord, list[TwistStats]]:
                 text, letter.index, letter.sign
             )
         except InternalStateError as error:
-            raise InternalStateError(
-                f"letter {k} ({letter.index * letter.sign}): {error}"
-            ) from error
+            raise _letter_error(k, letter, error) from error
         per_letter.append(
             TwistStats(
                 links_visited=visited,
@@ -120,15 +122,58 @@ def process_word(word: BraidWord) -> tuple[GBaseWord, list[TwistStats]]:
     return GBaseWord(word.strand_count, map(ord, text)), per_letter
 
 
-def _freely_reduced(letters: tuple[Letter, ...]) -> list[Letter]:
-    """The letters with adjacent sigma_i sigma_i^-1 pairs cancelled, cascades included."""
-    out: list[Letter] = []
-    for letter in letters:
-        if out and out[-1] == (letter.index, -letter.sign):
-            out.pop()
+def _letter_error(k: int, letter: Letter, cause: BaseException) -> InternalStateError:
+    error = InternalStateError(f"letter {k} ({letter.index * letter.sign}): {cause}")
+    error.letter = k
+    return error
+
+
+def _reduced(letters: tuple[Letter, ...]) -> list[int]:
+    """Positions of the letters left once every sigma_i ... sigma_i^-1 pair
+    with only commuting letters between them has cancelled, in input order.
+
+    Letter sigma_i^e touches strands i and i+1, and each strand keeps a stack
+    of the positions of the surviving letters that touch it. When both of a
+    letter's stacks have the same position on top, every letter since then
+    was at least two generators away, so it commutes with both; if that
+    position holds the inverse letter the two cancel, and otherwise the
+    letter goes on both stacks. This is free reduction in the group where
+    only far letters commute (Viennot's heaps of pieces), so nothing
+    cancellable is left, in O(L) steps whatever the strand count.
+    """
+    stacks: dict[int, list[int]] = {}
+    kept = [True] * len(letters)
+    for k, (index, sign) in enumerate(letters):
+        left = stacks.setdefault(index, [])
+        right = stacks.setdefault(index + 1, [])
+        if left and right and left[-1] == right[-1] and letters[left[-1]] == (index, -sign):
+            kept[left.pop()] = kept[k] = False
+            right.pop()
         else:
-            out.append(letter)
-    return out
+            left.append(k)
+            right.append(k)
+    return [k for k, keep in enumerate(kept) if keep]
+
+
+def normal_form(word: BraidWord) -> GBaseWord:
+    """The normal form of process_word(word), computed from fewer letters.
+
+    Cancelling sigma_i ... sigma_i^-1 across commuting letters (_reduced)
+    keeps the braid, so it keeps the normal form. An InternalStateError
+    names the index of the letter in word, not in the reduced word.
+    """
+    _require_text_strands(word.strand_count)
+    kept = _reduced(word.letters)
+    try:
+        gbase, _ = process_word(
+            BraidWord(word.strand_count, tuple(word.letters[k] for k in kept))
+        )
+    except InternalStateError as error:
+        if error.letter is None:
+            raise
+        k = kept[error.letter]
+        raise _letter_error(k, word.letters[k], error.__cause__) from error.__cause__
+    return gbase
 
 
 def words_equal(first: BraidWord, second: BraidWord) -> bool:
@@ -139,10 +184,11 @@ def words_equal(first: BraidWord, second: BraidWord) -> bool:
     else. Then a pre-pass applies group laws only, so it cannot change the
     verdict:
 
-    1. freely reduce both words (cancel adjacent sigma_i sigma_i^-1);
-    2. strip the longest common prefix and suffix, as p u s = p v s iff u = v;
-    3. answer false if the remainders' permutations differ, since the normal
-       form determines the permutation;
+    1. answer false if the permutations differ, since the normal form
+       determines the permutation;
+    2. cancel sigma_i ... sigma_i^-1 pairs across commuting letters in both
+       words (_reduced);
+    3. strip the longest common prefix and suffix, as p u s = p v s iff u = v;
     4. only then compare the process_word normal forms of the remainders.
     """
     if first.strand_count != second.strand_count:
@@ -151,8 +197,10 @@ def words_equal(first: BraidWord, second: BraidWord) -> bool:
             f"{second.strand_count} strands"
         )
     _require_text_strands(first.strand_count)
-    u = _freely_reduced(first.letters)
-    v = _freely_reduced(second.letters)
+    if permutation_of_word(first) != permutation_of_word(second):
+        return False
+    u = [first.letters[k] for k in _reduced(first.letters)]
+    v = [second.letters[k] for k in _reduced(second.letters)]
     shorter = min(len(u), len(v))
     start = 0
     while start < shorter and u[start] == v[start]:
@@ -162,8 +210,6 @@ def words_equal(first: BraidWord, second: BraidWord) -> bool:
         stop += 1
     u_rest = BraidWord(first.strand_count, tuple(u[start:len(u) - stop]))
     v_rest = BraidWord(first.strand_count, tuple(v[start:len(v) - stop]))
-    if permutation_of_word(u_rest) != permutation_of_word(v_rest):
-        return False
     return u_rest == v_rest or process_word(u_rest)[0] == process_word(v_rest)[0]
 
 
@@ -171,7 +217,7 @@ def is_identity(word: BraidWord) -> bool:
     """True iff the word acts trivially, i.e. returns the standard g-base.
 
     This is words_equal against the empty word, so it gets the same pre-pass:
-    free reduction, then false unless the permutation is the identity, then
-    process_word on what is left.
+    false unless the permutation is the identity, then the cancellation of
+    _reduced, then process_word on what is left.
     """
     return words_equal(word, BraidWord(word.strand_count, ()))

@@ -44,6 +44,29 @@ def rewritten(values: list[int], rng: random.Random, attempts: int) -> list[int]
     return out
 
 
+def reference_reduced(letters) -> list[int]:
+    """Positions left once no sigma_i ... sigma_i^-1 pair with only far letters
+    (generators at least two away) between them remains, found by rescanning.
+
+    Each scan takes the first letter whose nearest earlier letter on a
+    generator within one of its own is its inverse, cancels the two, and
+    starts again from the beginning, so it costs O(L^2) per cancellation.
+    """
+    kept = list(range(len(letters)))
+    while True:
+        for b, right in enumerate(kept):
+            index, sign = letters[right]
+            a = b - 1
+            while a >= 0 and abs(letters[kept[a]].index - index) >= 2:
+                a -= 1
+            if a >= 0 and letters[kept[a]] == (index, -sign):
+                del kept[b]
+                del kept[a]
+                break
+        else:
+            return kept
+
+
 # -- reference free-group action: substitute letter by letter, left to right --
 
 def _letter_image_syllables(letter: Letter, gen: int) -> tuple[tuple[int, int], ...]:

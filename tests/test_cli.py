@@ -1,8 +1,13 @@
+import random
+
 import pytest
 
 from braidnf import cli
+from braidnf.braidword import parse_word
 from braidnf.cli import main
 from braidnf.engine import MAX_TEXT_STRANDS
+from braidnf.gbase import format_gbase
+from braidnf.solver import process_word
 
 
 def run(capsys, *argv):
@@ -69,6 +74,22 @@ def test_normal_form_batch_file(tmp_path, capsys):
         "(-1,0) (1,0) (-1,0) (2,0) (-1,0)",
         "(-1,0) (2,0) (-1,0) (2,1) (1,0) (-1,0)",
     ]
+
+
+def test_normal_form_file_prints_the_process_word_normal_forms(tmp_path, capsys):
+    rng = random.Random(5)
+    words = [
+        " ".join(str(rng.randint(1, 7) * rng.choice((1, -1))) for _ in range(rng.randint(0, 24)))
+        for _ in range(12)
+    ]
+    words.append("1 3 5 -1 2 -3 -5")
+    path = tmp_path / "words.txt"
+    path.write_text("".join(word + "\n" for word in words), encoding="utf-8")
+    code, out, _ = run(capsys, "normal-form", "--strands", "8", "--file", str(path))
+    assert code == 0
+    assert out == "".join(
+        format_gbase(process_word(parse_word(word, 8))[0]) + "\n" for word in words
+    )
 
 
 def test_batch_file_prints_results_before_a_malformed_line(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidnf import oracle
 from braidnf.braidword import BraidWord, Letter, concat, inverse, parse_word
 from braidnf.errors import ResourceLimitError
 from braidnf.oracle import FreeWord, oracle_equal, word_image
@@ -144,6 +146,29 @@ def test_ceiling_covers_the_starting_images():
         word_image(wide, 12, max_syllables=10)
     with pytest.raises(ValueError):
         oracle_equal(wide, empty, max_syllables=10)
+
+
+def test_ceiling_bounds_all_images_together():
+    # sigma_1 sends x_1 to x_1 x_2 x_1^-1 and x_2 to x_1: no image passes 3
+    # syllables, but the two hold 4
+    word = parse_word("1", 2)
+    with pytest.raises(ResourceLimitError, match="exceeded 3 syllables in total"):
+        word_image(word, 2, max_syllables=3)
+    with pytest.raises(ResourceLimitError, match="exceeded 3 syllables in total"):
+        oracle_equal(word, word, max_syllables=3)
+    assert word_image(word, 1, max_syllables=4).syllables == ((1, 1), (2, 1), (1, -1))
+
+
+def test_strand_ceiling_keeps_every_code_a_character(monkeypatch):
+    # x_n^-1 is held as chr(2n + 1)
+    assert 2 * oracle.MAX_STRANDS + 1 <= sys.maxunicode < 2 * oracle.MAX_STRANDS + 3
+    empty = BraidWord(oracle.MAX_STRANDS + 1, ())
+    with pytest.raises(ResourceLimitError, match=f"{oracle.MAX_STRANDS + 1} oracle strands"):
+        oracle_equal(empty, empty)
+    monkeypatch.setattr(oracle, "MAX_STRANDS", 3)
+    with pytest.raises(ResourceLimitError, match="4 oracle strands exceed 3"):
+        word_image(parse_word("3", 4), 1)
+    assert word_image(parse_word("2 1", 3), 3).syllables == ((1, 1),)
 
 
 def assert_images_match_reference(word):

@@ -17,9 +17,15 @@ from braidnf.gbase import (
     validate,
 )
 from braidnf.oracle import oracle_equal
-from braidnf.solver import is_identity, process_word, words_equal
+from braidnf.solver import is_identity, normal_form, process_word, words_equal
 
-from conftest import braid_words, find_forbidden_sequence, rewritten, word_from_ints
+from conftest import (
+    braid_words,
+    find_forbidden_sequence,
+    reference_reduced,
+    rewritten,
+    word_from_ints,
+)
 
 
 def test_empty_word_is_standard_base():
@@ -142,6 +148,24 @@ def test_internal_error_names_the_letter(monkeypatch):
         process_word(parse_word("1 2 -1 -2 1", 3))
 
 
+def test_normal_form_names_the_letter_of_the_input_word(monkeypatch):
+    real_step = engine.step_text
+    calls = []
+
+    def step_failing_on_second_letter(text, index, sign):
+        calls.append(None)
+        if len(calls) == 2:
+            raise InternalStateError("broken invariant")
+        return real_step(text, index, sign)
+
+    monkeypatch.setattr(engine, "step_text", step_failing_on_second_letter)
+    # 1 and -1 cancel across 3, so the second letter stepped is input letter 3
+    with pytest.raises(InternalStateError, match=r"^letter 3 \(2\): broken invariant$") as info:
+        normal_form(parse_word("1 3 -1 2 2", 4))
+    assert info.value.letter == 3
+    assert isinstance(info.value.__cause__, InternalStateError)
+
+
 def test_twist_stats_are_frozen():
     stats = process_word(parse_word("1 2", 3))[1][0]
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -195,6 +219,63 @@ def test_same_word_skips_the_gbase(process_word_calls):
     assert words_equal(word_from_ints(3, [1, 2, -2, -1, 2]), word_from_ints(3, [2]))
     assert is_identity(word_from_ints(6, [1, 2, 3, -3, -2, -1]))
     assert process_word_calls == []
+
+
+def test_cancellation_across_commuting_letters_skips_the_gbase(process_word_calls):
+    assert words_equal(parse_word("1 3 -1", 4), parse_word("3", 4))
+    assert is_identity(parse_word("1 3 2 -2 -1 -3", 4))
+    assert process_word_calls == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 80])
+def test_reduced_agrees_with_the_rescanning_reference(n):
+    rng = random.Random(n)
+    for _ in range(40):
+        length = rng.randint(0, 256 if n == 80 else 40)
+        word = word_from_ints(
+            n, [rng.randint(1, n - 1) * rng.choice((1, -1)) for _ in range(length)]
+        )
+        assert solver._reduced(word.letters) == reference_reduced(word.letters)
+
+
+def test_reduced_cancels_across_far_letters_only():
+    word = parse_word("1 3 5 -1 2 -3 -5", 6)
+    # 1 meets -1 across 3 and 5; 2 blocks 3 from -3, and -5 meets 5 across 2
+    # and -3
+    assert solver._reduced(word.letters) == [1, 4, 5]
+
+
+def test_normal_form_matches_process_word_on_random_words():
+    rng = random.Random(11)
+    for n, length in [(2, 24), (3, 20), (4, 16), (8, 40), (20, 64), (80, 256)]:
+        for _ in range(4):
+            values = [rng.randint(1, n - 1) * rng.choice((1, -1)) for _ in range(length)]
+            word = word_from_ints(n, values)
+            assert normal_form(word) == process_word(word)[0]
+
+
+@settings(max_examples=120, deadline=None)
+@given(braid_words(max_strands=8, max_length=16), st.integers(0, 15), st.integers(1, 7))
+def test_normal_form_matches_process_word(word, at, index):
+    # wrap an inverse pair round a stretch of the word, so that far letters
+    # often sit between the two
+    n = word.strand_count
+    index = min(index, n - 1)
+    values = [letter.index * letter.sign for letter in word.letters]
+    at = min(at, len(values))
+    values[at:at + 2] = [index, *values[at:at + 2], -index]
+    padded = word_from_ints(n, values)
+    assert normal_form(padded) == process_word(padded)[0]
+    assert normal_form(word) == process_word(word)[0]
+
+
+def test_normal_form_at_the_text_range_allocates_nothing_per_strand():
+    # _reduced keys its stacks by strand, so only the g-base itself is O(n)
+    n = engine.MAX_TEXT_STRANDS
+    start = time.perf_counter()
+    gbase = normal_form(parse_word(f"{n - 1} 1 {1 - n}", n))
+    assert time.perf_counter() - start < 5
+    assert len(gbase) == len(standard_gbase(n)) + 1
 
 
 def test_common_prefix_and_suffix_are_stripped(process_word_calls):
