@@ -9,6 +9,7 @@ the first again, the third. The empty string is the empty word.
 from __future__ import annotations
 
 import dataclasses
+import re
 from typing import NamedTuple
 
 from .errors import MalformedWordError
@@ -43,14 +44,17 @@ class BraidWord:
         return len(self.letters)
 
 
+# ASCII digits only: int() would also take "1_0" and other scripts' digits
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_word(text: str, strand_count: int) -> BraidWord:
     """Parse whitespace-separated signed generator indices; blank text is the empty word."""
     letters = []
     for token in text.split():
-        try:
-            value = int(token)
-        except ValueError:
-            raise MalformedWordError(f"token {token!r} is not an integer") from None
+        if _INTEGER.fullmatch(token) is None:
+            raise MalformedWordError(f"token {token!r} is not an integer")
+        value = int(token)
         if value == 0:
             raise MalformedWordError(f"token {token!r}: generator index must be nonzero")
         index, sign = (value, 1) if value > 0 else (-value, -1)

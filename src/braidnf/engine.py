@@ -1,8 +1,8 @@
-"""Packed-integer core of the twist/reduce pipeline.
+"""Core of the twist/reduce pipeline, on lists held as text.
 
 Lists routinely grow to hundreds of thousands of links on tangled words, so
-the pipeline works on the packed codes that GBaseWord stores (gbase.link_code
-defines them):
+the pipeline works on GBaseWord's text: a str with one character chr(code)
+per link, where gbase.link_code defines the packed code
 
     code = 3 * (point + 1) + (position + 1)
 
@@ -16,31 +16,26 @@ Handy consequences, used throughout:
                                    (point reflects across i, i+1; position
                                    flips sign; one subtraction does both)
 
-twist_pieces applies one half-twist to a list held as a str of chr(code)
-and returns the output as pieces with no reducible pair inside. _push
-reduces onto one stack of str pieces: a piece is weighed only until one of
-its links is pushed, and the rest is copied as a slice. step_text is one
-letter, twist_pieces then _push; reduce_codes pushes one link per piece.
-These functions trust their input: solver.process_word starts from the
-standard g-base and feeds each step_text output back in, and
-solver.apply_letter and solver.reduce call require_valid first. Their
-counters fill solver.TwistStats.
+twist_pieces applies one half-twist to a list's text and returns the output
+as pieces with no reducible pair inside. _push reduces onto one stack of str
+pieces: a piece is weighed only until one of its links is pushed, and the
+rest is copied as a slice. step_text is one letter, twist_pieces then _push;
+reduce_codes pushes one link per piece. These functions trust their input:
+solver.process_word starts from the standard g-base and feeds each step_text
+output back in, and solver.apply_letter and solver.reduce call require_valid
+first. Their counters fill solver.TwistStats. A code is a character only up
+to sys.maxunicode, which gbase.MAX_TEXT_STRANDS guarantees.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-import sys
 from typing import Sequence
 
 from .errors import InternalStateError
-from .gbase import SEPARATOR_CODE, code_link
-
-# reduce_codes and twist_pieces hold each code as one character, so the
-# largest code the engine makes for n strands, 3 * (n + 2) for a below-pass
-# at the virtual point n + 1, must not pass sys.maxunicode
-MAX_TEXT_STRANDS = sys.maxunicode // 3 - 2
+# MAX_TEXT_STRANDS is defined by gbase and resolves here too
+from .gbase import MAX_TEXT_STRANDS, SEPARATOR_CODE, code_link
 
 
 def detach_codes(first: int, second: int, index: int) -> list[int]:
@@ -89,8 +84,9 @@ def postfix_codes(index: int, sign: int, to_left: bool) -> list[int]:
     return [base + 5, base + 8] if sign > 0 else [base + 3, base + 6]
 
 
-def reduce_codes(codes: Sequence[int]) -> tuple[list[int], int, int]:
-    """Run the four deletion rules to fixpoint; returns (out, visited, deleted).
+def reduce_codes(text: str) -> tuple[str, int, int]:
+    """Run the four deletion rules to fixpoint on a list's text; returns
+    (text, visited, deleted).
 
     Each rule is a homotopy of the encoded paths:
 
@@ -115,14 +111,12 @@ def reduce_codes(codes: Sequence[int]) -> tuple[list[int], int, int]:
     this against a randomized applier), which is what makes list equality
     decide braid-word equality.
 
-    The stack is _push's, fed each code as its own one-link piece, one
-    character of the list held as a str. So every code must be at most
-    sys.maxunicode; MAX_TEXT_STRANDS bounds the strand count that
-    guarantees it.
+    The stack is _push's, fed each character of the text as its own
+    one-link piece.
     """
     stack: list[str] = []
-    visited, deleted = _push(stack, "".join(map(chr, codes)))
-    return list(map(ord, "".join(stack))), visited, deleted
+    visited, deleted = _push(stack, text)
+    return "".join(stack), visited, deleted
 
 
 def _push(stack: list[str], pieces: Sequence[str]) -> tuple[int, int]:
@@ -219,8 +213,8 @@ def _connectors(index: int, sign: int) -> tuple[dict[str, str], str, dict[str, s
 
 
 def twist_pieces(text: str, index: int, sign: int) -> tuple[list[str], int]:
-    """Apply one half-twist to a reduced list held as a str of chr(code);
-    returns the unreduced output, cut into pieces, and the insert count.
+    """Apply one half-twist to a reduced list's text; returns the
+    unreduced output, cut into pieces, and the insert count.
 
     The generator with index i acts as a half-twist that rotates a small disk
     around punctures i and i+1 by 180 degrees (positively or negatively). On
@@ -257,8 +251,6 @@ def twist_pieces(text: str, index: int, sign: int) -> tuple[list[str], int]:
         link that joins the run is the opposite pass at the point of the
         run's first link, which no rule matches);
       * a connector's two links are +-1 passes at distinct points.
-
-    Every code must be at most sys.maxunicode, which MAX_TEXT_STRANDS bounds.
     """
     pattern, table = _run_splitter(index)
     pre, pre_right, post, post_right = _connectors(index, sign)
@@ -288,7 +280,7 @@ def twist_pieces(text: str, index: int, sign: int) -> tuple[list[str], int]:
 
 
 def step_text(text: str, index: int, sign: int) -> tuple[str, int, int, int]:
-    """One letter on a reduced list held as a str of chr(code).
+    """One letter on a reduced list's text.
 
     Returns (text, inserted, visited, deleted): the reduced list after the
     letter and the counters of reduce_codes on the joined twist_pieces

@@ -8,13 +8,16 @@ The basepoint is written (-1, 0) and doubles as the separator between the n
 paths; the whole g-base is one flat list that starts and ends with a
 separator.
 
-GBaseWord stores each link as one packed int,
+Each link packs into one int,
 
     code = 3 * (point + 1) + (position + 1),
 
-so the separator is code 1. The twist/reduce engine works on these codes
-directly; link_code and code_link are the only conversions, and Link tuples
-are built only on demand (the links property and error messages).
+so the separator is code 1, and GBaseWord stores the list as its text: a str
+with the character chr(code) per link. The twist/reduce engine works on that
+text directly; link_code and code_link are the only conversions, and Link
+tuples are built only on demand (the links property and error messages).
+One character per code caps the strand count at MAX_TEXT_STRANDS, which
+GBaseWord and standard_gbase enforce.
 
 Conventions that make the encoding canonical:
   * a path never leaves the basepoint through a below-pass, so a separator is
@@ -27,9 +30,11 @@ Conventions that make the encoding canonical:
 from __future__ import annotations
 
 import dataclasses
+import re
+import sys
 from typing import NamedTuple
 
-from .errors import MalformedGBaseError
+from .errors import MalformedGBaseError, ResourceLimitError
 
 
 class Link(NamedTuple):
@@ -52,29 +57,37 @@ def code_link(code: int) -> Link:
 
 SEPARATOR_CODE = link_code(-1, 0)
 
+# the largest code a list over n strands holds, 3 * (n + 2) for a below-pass
+# at the virtual point n + 1, must be a character: at most sys.maxunicode
+MAX_TEXT_STRANDS = sys.maxunicode // 3 - 2
+
+
+def check_strand_count(strand_count: int) -> None:
+    """Raise MalformedGBaseError below 1 strand and ResourceLimitError above
+    MAX_TEXT_STRANDS."""
+    if strand_count < 1:
+        raise MalformedGBaseError(f"strand count must be >= 1, got {strand_count}")
+    if strand_count > MAX_TEXT_STRANDS:
+        raise ResourceLimitError(f"strand count {strand_count} exceeds {MAX_TEXT_STRANDS}")
+
 
 @dataclasses.dataclass(frozen=True)
 class GBaseWord:
-    """A g-base list over `strand_count` strands, one packed code per link.
-
-    `codes` may be given as any sequence; it is stored as a tuple, so equal
-    lists compare and hash equal.
-    """
+    """A g-base list over `strand_count` strands, held as `text`: one
+    character chr(code) per link, so equal lists compare and hash equal."""
     strand_count: int
-    codes: tuple[int, ...]
+    text: str
 
     def __post_init__(self):
-        if self.strand_count < 1:
-            raise MalformedGBaseError(f"strand count must be >= 1, got {self.strand_count}")
-        object.__setattr__(self, "codes", tuple(self.codes))
+        check_strand_count(self.strand_count)
 
     def __len__(self) -> int:
-        return len(self.codes)
+        return len(self.text)
 
     @property
     def links(self) -> tuple[Link, ...]:
         """The list as Link tuples, built on each access."""
-        return tuple(map(code_link, self.codes))
+        return tuple(map(code_link, map(ord, self.text)))
 
 
 class Violation(NamedTuple):
@@ -93,12 +106,11 @@ def standard_gbase(strand_count: int) -> GBaseWord:
     deletes, so the reduced list is emitted directly: each path is the single
     endpoint link.
     """
-    if strand_count < 1:
-        raise MalformedGBaseError(f"strand count must be >= 1, got {strand_count}")
-    codes = [SEPARATOR_CODE]
-    for point in range(1, strand_count + 1):
-        codes += (link_code(point, 0), SEPARATOR_CODE)
-    return GBaseWord(strand_count, codes)
+    check_strand_count(strand_count)
+    separator = chr(SEPARATOR_CODE)
+    return GBaseWord(strand_count, separator + "".join(
+        chr(link_code(point, 0)) + separator for point in range(1, strand_count + 1)
+    ))
 
 
 def validate(gbase: GBaseWord, reduced_expected: bool = False) -> Violation | None:
@@ -114,7 +126,7 @@ def validate(gbase: GBaseWord, reduced_expected: bool = False) -> Violation | No
     or adjacent equal links may remain.
     """
     n = gbase.strand_count
-    codes = gbase.codes
+    codes = list(map(ord, gbase.text))
     if not codes or codes[0] != SEPARATOR_CODE:
         return Violation(0, "list must start with the separator (-1,0)")
     if codes[-1] != SEPARATOR_CODE:
@@ -175,35 +187,40 @@ def require_valid(gbase: GBaseWord, reduced_expected: bool = False) -> None:
 def endpoints_permutation(gbase: GBaseWord) -> tuple[int, ...]:
     """Map path ordinal k (1-based, in list order) to the point its path ends at."""
     require_valid(gbase)  # so each path holds exactly one endpoint
-    return tuple(
-        code // 3 - 1 for code in gbase.codes if code % 3 == 1 and code != SEPARATOR_CODE
-    )
+    codes = map(ord, gbase.text)
+    return tuple(code // 3 - 1 for code in codes if code % 3 == 1 and code != SEPARATOR_CODE)
 
 
 def format_gbase(gbase: GBaseWord) -> str:
     """Emit the full list, "(p,q)" tokens joined by single spaces."""
-    # one token per distinct code, decoded as in code_link
-    tokens = {code: f"({code // 3 - 1},{code % 3 - 1})" for code in set(gbase.codes)}
-    return " ".join([tokens[code] for code in gbase.codes])
+    # one token per distinct link, decoded as in code_link
+    tokens = {char: f"({ord(char) // 3 - 1},{ord(char) % 3 - 1})" for char in set(gbase.text)}
+    return " ".join(map(tokens.__getitem__, gbase.text))
+
+
+# ASCII digits only: int() would also take "1_0" and other scripts' digits
+_TOKEN = re.compile(r"\(([+-]?[0-9]+),([+-]?[0-9]+)\)")
 
 
 def parse_gbase(text: str, strand_count: int) -> GBaseWord:
     """Parse the text form and check structural validity."""
-    codes = []
+    check_strand_count(strand_count)
+    chars = []
     for token in text.split():
-        if not (token.startswith("(") and token.endswith(")") and token.count(",") == 1):
-            raise MalformedGBaseError(f"token {token!r} is not of the form (p,q)")
-        left, right = token[1:-1].split(",")
-        try:
-            point, position = int(left), int(right)
-        except ValueError:
-            raise MalformedGBaseError(f"token {token!r} is not a pair of integers") from None
+        match = _TOKEN.fullmatch(token)
+        if match is None:
+            raise MalformedGBaseError(f"token {token!r} is not of the form (p,q) of integers")
+        point, position = int(match[1]), int(match[2])
         if position not in (-1, 0, 1):
             raise MalformedGBaseError(f"token {token!r}: position {position} out of range")
-        if point < -1:
-            raise MalformedGBaseError(f"token {token!r}: point {point} out of range")
-        # the range checks come first: out-of-range pairs alias valid codes
-        codes.append(link_code(point, position))
-    gbase = GBaseWord(strand_count, codes)
+        code = link_code(point, position)
+        # the range checks come first: out-of-range pairs alias valid codes,
+        # and a code above sys.maxunicode has no character
+        if not -1 <= point <= strand_count + 1 or code > sys.maxunicode:
+            raise MalformedGBaseError(
+                f"token {token!r}: point {point} out of range for {strand_count} strands"
+            )
+        chars.append(chr(code))
+    gbase = GBaseWord(strand_count, "".join(chars))
     require_valid(gbase)
     return gbase

@@ -1,13 +1,13 @@
 """Word-problem decisions by normal-form comparison.
 
 A word acts on the standard g-base letter by letter. Each letter is one
-fused twist and reduction (engine.step_text) on the list held as a str, so
-the list the next letter sees is always in normal form; the reduction works
-only where the twist spliced. Two words over the same strand count are equal
-exactly when their final lists are identical link by link. GBaseWord values
-appear only at the ends. apply_letter runs the same twist
-(engine.twist_pieces) without the reduction, and reduce runs
-engine.reduce_codes, each on a GBaseWord after checking it.
+fused twist and reduction (engine.step_text) on the list's text, so the list
+the next letter sees is always in normal form; the reduction works only where
+the twist spliced. Two words over the same strand count are equal exactly
+when their final lists are identical link by link. GBaseWord values appear
+only at the ends. apply_letter runs the same twist (engine.twist_pieces)
+without the reduction, and reduce runs engine.reduce_codes, each on a
+GBaseWord's text after checking it.
 
 words_equal and is_identity first apply group laws that cannot change the
 verdict: the permutation test, cancelling sigma_i ... sigma_i^-1 pairs across
@@ -22,24 +22,27 @@ import dataclasses
 
 from . import engine
 from .braidword import BraidWord, Letter, permutation_of_word
-from .errors import InternalStateError, ResourceLimitError
-from .gbase import GBaseWord, require_valid, standard_gbase
+from .errors import InternalStateError
+from .gbase import GBaseWord, check_strand_count, require_valid, standard_gbase
 
 
 @dataclasses.dataclass(frozen=True)
 class TwistStats:
     """Work counters for one generator application.
 
-    links_visited counts input links examined (the full scan), links_inserted
-    the links the twist added, and pre_reduce_length the unreduced output
-    length, so pre_reduce_length = input length + links_inserted. The reduce_*
-    fields count the reduction that follows each twist in process_word.
+    links_visited counts input links examined (the full scan) and
+    links_inserted the links the twist added. The reduce_* fields count the
+    reduction that follows each twist in process_word.
     """
     links_visited: int = 0
     links_inserted: int = 0
-    pre_reduce_length: int = 0
     reduce_links_visited: int = 0
     reduce_links_deleted: int = 0
+
+    @property
+    def pre_reduce_length(self) -> int:
+        """The unreduced output length: the input length plus the inserts."""
+        return self.links_visited + self.links_inserted
 
 
 def apply_letter(gbase: GBaseWord, letter: Letter) -> tuple[GBaseWord, TwistStats]:
@@ -48,8 +51,7 @@ def apply_letter(gbase: GBaseWord, letter: Letter) -> tuple[GBaseWord, TwistStat
     The input must be reduced: the twist's detachment patterns assume the
     conventions that reduction enforces, so anything else raises
     MalformedGBaseError. A letter whose index is not in 1..n-1 or whose sign
-    is not +-1 raises ValueError, and more than engine.MAX_TEXT_STRANDS
-    strands raise ResourceLimitError before the g-base is checked.
+    is not +-1 raises ValueError.
     """
     if not 1 <= letter.index <= gbase.strand_count - 1:
         raise ValueError(
@@ -58,36 +60,17 @@ def apply_letter(gbase: GBaseWord, letter: Letter) -> tuple[GBaseWord, TwistStat
         )
     if letter.sign not in (1, -1):
         raise ValueError(f"generator sign must be +1 or -1, got {letter.sign}")
-    _require_text_strands(gbase.strand_count)
     require_valid(gbase, reduced_expected=True)
-    pieces, inserted = engine.twist_pieces(
-        "".join(map(chr, gbase.codes)), letter.index, letter.sign
-    )
-    stats = TwistStats(
-        links_visited=len(gbase),
-        links_inserted=inserted,
-        pre_reduce_length=len(gbase) + inserted,
-    )
-    return GBaseWord(gbase.strand_count, map(ord, "".join(pieces))), stats
+    pieces, inserted = engine.twist_pieces(gbase.text, letter.index, letter.sign)
+    stats = TwistStats(links_visited=len(gbase), links_inserted=inserted)
+    return GBaseWord(gbase.strand_count, "".join(pieces)), stats
 
 
 def reduce(gbase: GBaseWord) -> GBaseWord:
-    """Reduce a structurally valid (possibly unreduced) g-base to normal form.
-
-    More than engine.MAX_TEXT_STRANDS strands raise ResourceLimitError before
-    the g-base is checked.
-    """
-    _require_text_strands(gbase.strand_count)
+    """Reduce a structurally valid (possibly unreduced) g-base to normal form."""
     require_valid(gbase)
-    codes, _, _ = engine.reduce_codes(gbase.codes)
-    return GBaseWord(gbase.strand_count, codes)
-
-
-def _require_text_strands(strand_count: int) -> None:
-    if strand_count > engine.MAX_TEXT_STRANDS:
-        raise ResourceLimitError(
-            f"strand count {strand_count} exceeds {engine.MAX_TEXT_STRANDS}"
-        )
+    text, _, _ = engine.reduce_codes(gbase.text)
+    return GBaseWord(gbase.strand_count, text)
 
 
 def process_word(word: BraidWord) -> tuple[GBaseWord, list[TwistStats]]:
@@ -95,12 +78,11 @@ def process_word(word: BraidWord) -> tuple[GBaseWord, list[TwistStats]]:
 
     Returns the final reduced g-base and one stats record per letter (twist
     counters plus the reduce counters of the normalization that followed).
-    More than engine.MAX_TEXT_STRANDS strands raise ResourceLimitError. An
+    More than gbase.MAX_TEXT_STRANDS strands raise ResourceLimitError. An
     InternalStateError names the letter's index k and value, and carries k
     as its letter attribute.
     """
-    _require_text_strands(word.strand_count)
-    text = "".join(map(chr, standard_gbase(word.strand_count).codes))
+    text = standard_gbase(word.strand_count).text
     per_letter: list[TwistStats] = []
     for k, letter in enumerate(word.letters):
         visited = len(text)
@@ -114,12 +96,11 @@ def process_word(word: BraidWord) -> tuple[GBaseWord, list[TwistStats]]:
             TwistStats(
                 links_visited=visited,
                 links_inserted=inserted,
-                pre_reduce_length=visited + inserted,
                 reduce_links_visited=reduce_visited,
                 reduce_links_deleted=deleted,
             )
         )
-    return GBaseWord(word.strand_count, map(ord, text)), per_letter
+    return GBaseWord(word.strand_count, text), per_letter
 
 
 def _letter_error(k: int, letter: Letter, cause: BaseException) -> InternalStateError:
@@ -162,7 +143,6 @@ def normal_form(word: BraidWord) -> GBaseWord:
     keeps the braid, so it keeps the normal form. An InternalStateError
     names the index of the letter in word, not in the reduced word.
     """
-    _require_text_strands(word.strand_count)
     kept = _reduced(word.letters)
     try:
         gbase, _ = process_word(
@@ -180,7 +160,7 @@ def words_equal(first: BraidWord, second: BraidWord) -> bool:
     """Decide equality in the braid group by comparing normal forms.
 
     Mismatched strand counts raise ValueError, and more than
-    engine.MAX_TEXT_STRANDS strands raise ResourceLimitError, before anything
+    gbase.MAX_TEXT_STRANDS strands raise ResourceLimitError, before anything
     else. Then a pre-pass applies group laws only, so it cannot change the
     verdict:
 
@@ -196,7 +176,7 @@ def words_equal(first: BraidWord, second: BraidWord) -> bool:
             f"cannot compare words over {first.strand_count} and "
             f"{second.strand_count} strands"
         )
-    _require_text_strands(first.strand_count)
+    check_strand_count(first.strand_count)
     if permutation_of_word(first) != permutation_of_word(second):
         return False
     u = [first.letters[k] for k in _reduced(first.letters)]

@@ -103,6 +103,32 @@ def reference_word_image(word: BraidWord, gen: int) -> tuple[tuple[int, int], ..
     return tuple(image)
 
 
+# -- Dynnikov coordinates: a polynomial-time witness for braid equality ------
+
+def dynnikov(word: BraidWord) -> tuple[int, ...]:
+    """The coordinates (x_1, y_1, ..., x_n, y_n) the word reaches from
+    (0, 1, ..., 0, 1), letters acting left to right; two words are the same
+    braid iff their coordinates are equal (Dehornoy, Dynnikov, Rolfsen and
+    Wiest, "Ordering Braids", AMS 2008, ch. 12). They count intersections of
+    curves in the punctured disk with fixed arcs, so they grow only linearly
+    in bits with the word length.
+    """
+    coords = [0, 1] * word.strand_count
+    for index, sign in word.letters:
+        k = 2 * index - 2
+        a, b, c, d = coords[k:k + 4]
+        b_minus, b_plus, d_minus, d_plus = min(b, 0), max(b, 0), min(d, 0), max(d, 0)
+        if sign > 0:
+            t = a - b_minus - c + d_plus
+            coords[k:k + 4] = (a + b_plus + max(d_plus - t, 0), d - max(t, 0),
+                               c + d_minus + min(b_minus + t, 0), b + max(t, 0))
+        else:
+            t = a + b_minus - c - d_plus
+            coords[k:k + 4] = (a - b_plus - max(d_plus + t, 0), d + min(t, 0),
+                               c - d_minus - min(b_minus - t, 0), b - min(t, 0))
+    return tuple(coords)
+
+
 # -- Link <-> code conversion for tests written in terms of links -------------
 
 def codes_of(links) -> list[int]:
@@ -110,13 +136,17 @@ def codes_of(links) -> list[int]:
     return [link_code(point, position) for point, position in links]
 
 
+def text_of(links) -> str:
+    """The text GBaseWord holds for Links or (point, position) pairs."""
+    return "".join(map(chr, codes_of(links)))
+
+
 def links_of(codes) -> list[Link]:
     return [code_link(code) for code in codes]
 
 
 def gbase_of(strand_count: int, links) -> GBaseWord:
-    # a list on purpose: GBaseWord must store it as a tuple
-    return GBaseWord(strand_count, codes_of(links))
+    return GBaseWord(strand_count, text_of(links))
 
 
 def paths_of(gbase: GBaseWord) -> list[tuple[Link, ...]]:

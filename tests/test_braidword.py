@@ -30,7 +30,12 @@ def test_parse_empty():
     assert parse_word("   ", 5) == BraidWord(5, ())
 
 
-@pytest.mark.parametrize("text, n", [("3", 3), ("0", 4), ("x", 4), ("5", 2), ("1 2 9", 4)])
+@pytest.mark.parametrize(
+    "text, n",
+    # int() takes the last four as 10, 3, 1 and 3; only ASCII digits count
+    [("3", 3), ("0", 4), ("x", 4), ("5", 2), ("1 2 9", 4),
+     ("1_0", 12), ("\u0663", 4), ("1 \uff11", 3), ("-\u0663", 4)],
+)
 def test_parse_rejects_bad_tokens(text, n):
     with pytest.raises(MalformedWordError) as excinfo:
         parse_word(text, n)

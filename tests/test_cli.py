@@ -5,8 +5,7 @@ import pytest
 from braidnf import cli
 from braidnf.braidword import parse_word
 from braidnf.cli import main
-from braidnf.engine import MAX_TEXT_STRANDS
-from braidnf.gbase import format_gbase
+from braidnf.gbase import MAX_TEXT_STRANDS, format_gbase
 from braidnf.solver import process_word
 
 

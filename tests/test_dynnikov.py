@@ -1,0 +1,70 @@
+"""The Dynnikov-coordinate witness (conftest.dynnikov) against the free-group
+oracle where both are cheap, then against words_equal on words long enough
+that only the witness stays cheap."""
+
+import itertools
+import random
+
+import pytest
+
+from braidnf.braidword import concat, inverse
+from braidnf.oracle import word_image
+from braidnf.solver import words_equal
+
+from conftest import dynnikov, rewritten, word_from_ints
+
+
+def classes(key, words):
+    """The partition of `words` into classes of equal key, as sorted letter tuples."""
+    groups = {}
+    for word in words:
+        groups.setdefault(key(word), []).append(word.letters)
+    return sorted(sorted(group) for group in groups.values())
+
+
+def oracle_key(word):
+    return tuple(word_image(word, gen) for gen in range(1, word.strand_count + 1))
+
+
+@pytest.mark.parametrize("n, max_length", [(2, 8), (3, 6), (4, 4), (5, 3)])
+def test_dynnikov_classes_match_the_oracle_exhaustively(n, max_length):
+    generators = [g for i in range(1, n) for g in (i, -i)]
+    words = [
+        word_from_ints(n, values)
+        for length in range(max_length + 1)
+        for values in itertools.product(generators, repeat=length)
+    ]
+    assert classes(dynnikov, words) == classes(oracle_key, words)
+
+
+@pytest.mark.parametrize("n", [3, 8, 20])
+def test_dynnikov_of_word_times_inverse_is_the_start(n):
+    rng = random.Random(n)
+    word = word_from_ints(n, [rng.randint(1, n - 1) * rng.choice((1, -1)) for _ in range(256)])
+    assert dynnikov(concat(word, inverse(word))) == (0, 1) * n
+
+
+@pytest.mark.parametrize("n, length", [(8, 48), (8, 96), (20, 48), (20, 96)])
+def test_words_equal_agrees_with_dynnikov(n, length):
+    # three kinds of pair, each keeping the permutation so the g-base route
+    # runs: an equal word reached by braid moves, a word with two letters of
+    # one sign inverted, and a word with some sigma_i^2 inserted
+    rng = random.Random(1000 * n + length)
+    verdicts = []
+    for k in range(12):
+        values = [rng.randint(1, n - 1) * rng.choice((1, -1)) for _ in range(length)]
+        if k % 3 == 0:
+            other = rewritten(values, rng, 4 * length)
+        elif k % 3 == 1:
+            sign = rng.choice((1, -1))
+            a, b = rng.sample([p for p, g in enumerate(values) if g * sign > 0], 2)
+            other = list(values)
+            other[a], other[b] = -other[a], -other[b]
+        else:
+            at, g = rng.randint(0, length), rng.randint(1, n - 1) * rng.choice((1, -1))
+            other = values[:at] + [g, g] + values[at:]
+        first, second = word_from_ints(n, values), word_from_ints(n, other)
+        verdict = words_equal(first, second)
+        assert verdict is (dynnikov(first) == dynnikov(second)), (k, values, other)
+        verdicts.append(verdict)
+    assert verdicts.count(True) == 4

@@ -1,8 +1,12 @@
+import sys
+
 import pytest
 from hypothesis import given
 
-from braidnf.errors import MalformedGBaseError
+from braidnf.errors import MalformedGBaseError, ResourceLimitError
 from braidnf.gbase import (
+    MAX_TEXT_STRANDS,
+    GBaseWord,
     Link,
     endpoints_permutation,
     format_gbase,
@@ -116,10 +120,43 @@ def test_format_standard():
     assert format_gbase(standard_gbase(2)) == "(-1,0) (1,0) (-1,0) (2,0) (-1,0)"
 
 
-@pytest.mark.parametrize("text", ["(0,2)", "(1;0)", "1,0", "(a,b)", "(1,0,2)"])
+@pytest.mark.parametrize(
+    "text",
+    ["(0,2)", "(1;0)", "1,0", "(a,b)", "(1,0,2)"]
+    # int() reads each of these tokens as (1,0), which would make the list
+    # valid; only ASCII digits count
+    + [f"(-1,0) {token} (-1,0) (2,0) (-1,0) (3,0) (-1,0)"
+       for token in ("(0_1,0)", "(\u0661,0)", "(1,\uff10)")],
+)
 def test_parse_rejects_malformed_tokens(text):
     with pytest.raises(MalformedGBaseError):
         parse_gbase(text, 3)
+
+
+@pytest.mark.parametrize(
+    "n, text",
+    [
+        # code 3 * (n + 2) + 2 is past sys.maxunicode: no character holds it
+        (MAX_TEXT_STRANDS, f"(-1,0) ({MAX_TEXT_STRANDS + 1},1) (-1,0)"),
+        (MAX_TEXT_STRANDS, f"(-1,0) ({MAX_TEXT_STRANDS + 2},-1) (1,0) (-1,0)"),
+        (2, "(-1,0) (1,0) (-1,0) (4,-1) (2,0) (-1,0)"),
+    ],
+    ids=["virtual-above-at-ceiling", "past-virtual-at-ceiling", "past-virtual"],
+)
+def test_parse_rejects_points_past_the_virtual_point(n, text):
+    with pytest.raises(MalformedGBaseError, match="out of range"):
+        parse_gbase(text, n)
+
+
+def test_text_range_is_the_strand_ceiling():
+    # a below-pass at the virtual point n + 1 is the largest code
+    assert 3 * (MAX_TEXT_STRANDS + 2) <= sys.maxunicode < 3 * (MAX_TEXT_STRANDS + 3)
+    n = MAX_TEXT_STRANDS + 1
+    # each check comes before anything is built
+    for build in (lambda: GBaseWord(n, "\x01"), lambda: standard_gbase(n),
+                  lambda: parse_gbase("(-1,0)", n)):
+        with pytest.raises(ResourceLimitError, match=str(n)):
+            build()
 
 
 def test_parse_rejects_structurally_invalid():
@@ -129,7 +166,7 @@ def test_parse_rejects_structurally_invalid():
 
 def test_parse_rejects_out_of_range_pair_that_aliases_a_valid_code():
     # (0,2) packs to the code of (1,-1), which would make this a valid list
-    assert gbase_of(1, [(0, 2)]).codes == gbase_of(1, [(1, -1)]).codes
+    assert gbase_of(1, [(0, 2)]) == gbase_of(1, [(1, -1)])
     with pytest.raises(MalformedGBaseError):
         parse_gbase("(-1,0) (0,2) (1,0) (-1,0)", 1)
 

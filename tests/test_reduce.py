@@ -10,11 +10,11 @@ from braidnf.solver import reduce
 
 from conftest import (
     chaotic_reduce,
-    codes_of,
     find_forbidden_sequence,
     gbase_of,
     links_of,
     random_valid_gbase,
+    text_of,
     valid_gbases,
 )
 
@@ -25,8 +25,8 @@ def links(*pairs):
 
 def reduce_fragment(fragment):
     """The engine's reducer on a separator-delimited fragment of a list."""
-    out, _, _ = engine.reduce_codes(codes_of(fragment))
-    return links_of(out)
+    out, _, _ = engine.reduce_codes(text_of(fragment))
+    return links_of(map(ord, out))
 
 
 # -- spec'd example behavior --------------------------------------------------
@@ -100,7 +100,7 @@ def test_reduce_matches_randomized_rule_order(gbase):
 @settings(max_examples=200)
 @given(valid_gbases())
 def test_reduce_visit_budget(gbase):
-    _, visited, deleted = engine.reduce_codes(gbase.codes)
+    _, visited, deleted = engine.reduce_codes(gbase.text)
     assert visited <= 2 * len(gbase) + 2 * deleted
 
 
@@ -108,7 +108,7 @@ def test_reduce_visit_budget_large_random():
     rng = random.Random(11)
     for _ in range(500):
         g = random_valid_gbase(rng)
-        _, visited, deleted = engine.reduce_codes(g.codes)
+        _, visited, deleted = engine.reduce_codes(g.text)
         assert visited <= 2 * len(g) + 2 * deleted
 
 

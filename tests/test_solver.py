@@ -10,6 +10,7 @@ from braidnf import engine, solver
 from braidnf.braidword import Letter, concat, inverse, parse_word, permutation_of_word
 from braidnf.errors import InternalStateError, ResourceLimitError
 from braidnf.gbase import (
+    MAX_TEXT_STRANDS,
     GBaseWord,
     endpoints_permutation,
     format_gbase,
@@ -175,21 +176,22 @@ def test_twist_stats_are_frozen():
 
 def test_strand_count_beyond_the_text_range_is_refused():
     # raised before the standard g-base is built
-    with pytest.raises(ResourceLimitError, match=str(engine.MAX_TEXT_STRANDS)):
-        process_word(parse_word("1", engine.MAX_TEXT_STRANDS + 1))
+    with pytest.raises(ResourceLimitError, match=str(MAX_TEXT_STRANDS)):
+        process_word(parse_word("1", MAX_TEXT_STRANDS + 1))
 
 
 def test_reduce_refuses_strands_beyond_the_text_range_first():
-    # reduce_codes holds links as characters; the two adjacent separators
-    # would fail require_valid, which comes second
-    with pytest.raises(ResourceLimitError, match=str(engine.MAX_TEXT_STRANDS)):
-        solver.reduce(GBaseWord(engine.MAX_TEXT_STRANDS + 1, (1, 1)))
+    # no GBaseWord holds more strands than its text can code, so reduce never
+    # sees one: the two adjacent separators would fail require_valid, but
+    # the constructor refuses first
+    with pytest.raises(ResourceLimitError, match=str(MAX_TEXT_STRANDS)):
+        solver.reduce(GBaseWord(MAX_TEXT_STRANDS + 1, "\x01\x01"))
 
 
 def test_apply_letter_refuses_strands_beyond_the_text_range_first():
-    # the twist holds links as characters too; require_valid comes second
-    with pytest.raises(ResourceLimitError, match=str(engine.MAX_TEXT_STRANDS)):
-        solver.apply_letter(GBaseWord(engine.MAX_TEXT_STRANDS + 1, (1, 1)), Letter(1, 1))
+    # the same holds for the twist
+    with pytest.raises(ResourceLimitError, match=str(MAX_TEXT_STRANDS)):
+        solver.apply_letter(GBaseWord(MAX_TEXT_STRANDS + 1, "\x01\x01"), Letter(1, 1))
 
 
 @pytest.fixture
@@ -271,7 +273,7 @@ def test_normal_form_matches_process_word(word, at, index):
 
 def test_normal_form_at_the_text_range_allocates_nothing_per_strand():
     # _reduced keys its stacks by strand, so only the g-base itself is O(n)
-    n = engine.MAX_TEXT_STRANDS
+    n = MAX_TEXT_STRANDS
     start = time.perf_counter()
     gbase = normal_form(parse_word(f"{n - 1} 1 {1 - n}", n))
     assert time.perf_counter() - start < 5
@@ -295,11 +297,11 @@ def test_common_prefix_and_suffix_are_stripped(process_word_calls):
 
 
 def test_strand_limit_comes_before_the_pre_pass():
-    word = parse_word("1", engine.MAX_TEXT_STRANDS + 1)
+    word = parse_word("1", MAX_TEXT_STRANDS + 1)
     with pytest.raises(ResourceLimitError):
         words_equal(word, word)
     with pytest.raises(ResourceLimitError):
-        is_identity(parse_word("1 -1", engine.MAX_TEXT_STRANDS + 1))
+        is_identity(parse_word("1 -1", MAX_TEXT_STRANDS + 1))
     with pytest.raises(ValueError):
         words_equal(word, parse_word("1", 2))
 

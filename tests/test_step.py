@@ -11,21 +11,17 @@ from hypothesis import strategies as st
 from braidnf import engine
 from braidnf.braidword import Letter
 from braidnf.errors import InternalStateError
-from braidnf.gbase import GBaseWord
+from braidnf.gbase import GBaseWord, format_gbase, parse_gbase
 from braidnf.solver import process_word
 
-from conftest import codes_of, reference_apply, valid_gbases, word_from_ints
+from conftest import reference_apply, text_of, valid_gbases, word_from_ints
 
 
-def text_of(codes) -> str:
-    return "".join(map(chr, codes))
-
-
-def two_pass(n, codes, index, sign):
-    """(codes, inserted, visited, deleted) of reduce_codes on the reference twist."""
-    unreduced = codes_of(reference_apply(GBaseWord(n, codes), Letter(index, sign)))
+def two_pass(n, text, index, sign):
+    """(text, inserted, visited, deleted) of reduce_codes on the reference twist."""
+    unreduced = text_of(reference_apply(GBaseWord(n, text), Letter(index, sign)))
     out, visited, deleted = engine.reduce_codes(unreduced)
-    return out, len(unreduced) - len(codes), visited, deleted
+    return out, len(unreduced) - len(text), visited, deleted
 
 
 @st.composite
@@ -38,30 +34,30 @@ def reduced_lists(draw):
         draw(st.integers(1, n - 1)) * draw(st.sampled_from((1, -1)))
         for _ in range(length)
     ]
-    return process_word(word_from_ints(n, values))[0].codes, n, draw(st.integers(1, n - 1))
+    return process_word(word_from_ints(n, values))[0].text, n, draw(st.integers(1, n - 1))
 
 
 @settings(max_examples=150, deadline=None)
 @given(reduced_lists())
 def test_step_text_matches_twist_then_reduce(case):
-    codes, n, drawn = case
+    text, n, drawn = case
     # letters 1 and n-1 reach the detach cases that make points 0 and n+1
     for index in sorted({1, n - 1, drawn}):
         for sign in (1, -1):
-            text, inserted, visited, deleted = engine.step_text(text_of(codes), index, sign)
-            expected = two_pass(n, codes, index, sign)
-            assert ([ord(c) for c in text], inserted, visited, deleted) == expected
+            assert engine.step_text(text, index, sign) == two_pass(n, text, index, sign)
 
 
 @pytest.mark.parametrize("n", [90, 20000])
 def test_step_text_holds_wide_codes(n):
     # codes pass 255 at 90 strands, so the str needs two bytes per link, and
     # reach the surrogate range (0xD800) at 20000
-    codes = process_word(word_from_ints(n, [n - 1, -1, n // 2, n - 2, 2, 1 - n]))[0].codes
-    assert max(codes) > (255 if n == 90 else 0xD800)
+    gbase = process_word(word_from_ints(n, [n - 1, -1, n // 2, n - 2, 2, 1 - n]))[0]
+    assert max(map(ord, gbase.text)) > (255 if n == 90 else 0xD800)
     for index in (1, n // 2, n - 1):
-        text, *counters = engine.step_text(text_of(codes), index, -1)
-        assert ([ord(c) for c in text], *counters) == two_pass(n, codes, index, -1)
+        assert engine.step_text(gbase.text, index, -1) == two_pass(n, gbase.text, index, -1)
+    # the text form and a list rebuilt from its links give an equal value
+    for rebuilt in (parse_gbase(format_gbase(gbase), n), GBaseWord(n, text_of(gbase.links))):
+        assert rebuilt == gbase and hash(rebuilt) == hash(gbase)
 
 
 @pytest.mark.parametrize(
@@ -92,12 +88,12 @@ def test_step_text_holds_wide_codes(n):
     ids=["detach", "equal-position-0", "endpoint-debris"],
 )
 def test_step_text_raises_what_the_single_steps_raise(pairs, message, fused_prefix):
-    codes = codes_of(pairs)
+    text = text_of(pairs)
     with pytest.raises(InternalStateError, match=message) as two_steps:
-        two_pass(2, codes, 1, 1)
+        two_pass(2, text, 1, 1)
     if fused_prefix is not None:
         with pytest.raises(InternalStateError) as fused:
-            engine.step_text(text_of(codes), 1, 1)
+            engine.step_text(text, 1, 1)
         assert str(fused.value) == fused_prefix + str(two_steps.value)
 
 
@@ -114,22 +110,20 @@ def test_push_onto_a_stack_of_text_pieces(gbase, salt):
     # random pieces, takes the rest of the list as one-link pieces: cascades
     # pop across the piece boundaries
     rng = random.Random(salt)
-    codes = gbase.codes
-    split = rng.randint(1, len(codes))
-    stack, visited, deleted = engine.reduce_codes(codes[:split])
-    pieces = cut(text_of(stack), rng)
-    more_visited, more_deleted = engine._push(pieces, text_of(codes[split:]))
-    expected = engine.reduce_codes(codes)
-    assert ([ord(c) for c in "".join(pieces)],
-            visited + more_visited, deleted + more_deleted) == expected
+    text = gbase.text
+    split = rng.randint(1, len(text))
+    stack, visited, deleted = engine.reduce_codes(text[:split])
+    pieces = cut(stack, rng)
+    more_visited, more_deleted = engine._push(pieces, text[split:])
+    expected = engine.reduce_codes(text)
+    assert ("".join(pieces), visited + more_visited, deleted + more_deleted) == expected
 
 
 @settings(max_examples=150, deadline=None)
 @given(reduced_lists(), st.integers(0, 2**32))
 def test_push_keeps_a_reduced_list_in_pieces(case, salt):
     # each piece is weighed once and copied; none of its links is deleted
-    codes, _, _ = case
-    text = text_of(codes)
+    text, _, _ = case
     stack = [text[0]]
     visited, deleted = engine._push(stack, cut(text[1:], random.Random(salt)))
     assert ("".join(stack), visited, deleted) == (text, len(text) - 1, 0)
