@@ -17,7 +17,10 @@ Handy consequences, used throughout:
                                    flips sign; one subtraction does both)
 
 twist_pieces applies one half-twist to a list's text and returns the output
-as pieces with no reducible pair inside. _push reduces onto one stack of str
+as pieces with no reducible pair inside. It reads every rule of the letter,
+the run pattern, the rotation, the detach links and the connectors, from
+one cached table of text, _twist_rules(index, sign), so the twist's inner
+loop does only lookups and slices. _push reduces onto one stack of str
 pieces: a piece is weighed only until one of its links is pushed, and the
 rest is copied as a slice. step_text is one letter, twist_pieces then _push;
 reduce_codes pushes one link per piece. These functions trust their input:
@@ -34,54 +37,7 @@ import re
 from typing import Sequence
 
 from .errors import InternalStateError
-# MAX_TEXT_STRANDS is defined by gbase and resolves here too
-from .gbase import MAX_TEXT_STRANDS, SEPARATOR_CODE, code_link
-
-
-def detach_codes(first: int, second: int, index: int) -> list[int]:
-    """Links to insert after a separator that directly precedes a run.
-
-    `first` is the run's first link, `second` the following link of the path.
-    The first returned code becomes the run's new predecessor; any further
-    code has a point inside the twisted region and joins the run. The six
-    patterns are the only ways a reduced path can leave the basepoint into
-    the region, so anything else is an engine bug.
-    """
-    base = 3 * index  # code(i,-1) = base+3, code(i+1,-1) = base+6, etc.
-    if first == base + 4:  # (i,0)
-        return [base]
-    if first == base + 7:  # (i+1,0)
-        return [base + 9]
-    if first == base + 5:  # (i,1) then ...
-        second_point = second // 3 - 1
-        if second_point == index + 1:
-            return [base]
-        if second_point == index - 1:
-            return [base, base + 3]
-    if first == base + 8:  # (i+1,1) then ...
-        second_point = second // 3 - 1
-        if second_point == index + 2:
-            return [base + 9, base + 6]
-        if second_point == index:
-            return [base + 9]
-    raise InternalStateError(
-        f"run after a separator starts {code_link(first)} -> {code_link(second)}, "
-        f"which no detachment case covers"
-    )
-
-
-def prefix_codes(index: int, sign: int, to_left: bool) -> list[int]:
-    base = 3 * index
-    if to_left:
-        return [base + 3, base + 6] if sign > 0 else [base + 5, base + 8]
-    return [base + 8, base + 5] if sign > 0 else [base + 6, base + 3]
-
-
-def postfix_codes(index: int, sign: int, to_left: bool) -> list[int]:
-    base = 3 * index
-    if to_left:
-        return [base + 6, base + 3] if sign > 0 else [base + 8, base + 5]
-    return [base + 5, base + 8] if sign > 0 else [base + 3, base + 6]
+from .gbase import SEPARATOR_CODE, code_link, link_code
 
 
 def reduce_codes(text: str) -> tuple[str, int, int]:
@@ -182,34 +138,52 @@ def _pop(stack: list[str]) -> int:
     return ord(stack[-1][-1]) if stack else -1
 
 
-@functools.lru_cache(maxsize=1024)
-def _run_splitter(index: int) -> tuple[re.Pattern[str], dict[int, int]]:
-    """The pattern whose split isolates the runs of generator `index`, and
-    the translate table that rotates a run's links.
+@functools.lru_cache(maxsize=2048)
+def _twist_rules(index: int, sign: int) -> tuple[
+    re.Pattern[str], dict[int, int], dict[str, str], dict[str, str], str, dict[str, str], str
+]:
+    """All of one letter's twist rules, as text: (pattern, rotation, detach,
+    pre, pre_right, post, post_right).
 
-    `[a-f][a-f]*` splits exactly as `[a-f]+` does, but lets the regex
-    engine take its fast path for a leading character set.
+    Splitting on `pattern` isolates the runs, the maximal blocks of links at
+    points i and i+1; `[a-f][a-f]*` splits exactly as `[a-f]+` does, but
+    lets the regex engine take its fast path for a leading character set.
+    `rotation` is the translate table that rotates a run's links.
+
+    `detach` maps a run's first link plus the link after it to the links
+    inserted when a separator directly precedes the run. Its 14 keys are
+    the only ways a reduced path can leave the basepoint into the region:
+    an endpoint at q in {i, i+1} followed by the separator, or an
+    above-pass at q followed by a link at the other twisted point or at
+    q's outer neighbour (i-1 or i+2). Each maps to the below-pass at that
+    outer neighbour, which becomes the run's new predecessor, and an
+    above-pass turning back to the outer point adds (q,-1), which joins
+    the run.
+
+    A connector is two passes at i and i+1, ordered away from the
+    neighbouring link: below for a neighbour at point i-1, which `pre` and
+    `post` map to it, and above for any other (pre_right, post_right),
+    mirrored for a negative twist. A post connector is the pre one reversed.
     """
+    def text(*links: tuple[int, int]) -> str:
+        return "".join(chr(link_code(point, position)) for point, position in links)
+
     lo = 3 * index + 3
-    mirror = 6 * index + 11
     region = f"[{re.escape(chr(lo))}-{re.escape(chr(lo + 5))}]"
     pattern = re.compile(f"({region}{region}*)")
-    return pattern, {code: mirror - code for code in range(lo, lo + 6)}
-
-
-@functools.lru_cache(maxsize=2048)
-def _connectors(index: int, sign: int) -> tuple[dict[str, str], str, dict[str, str], str]:
-    """The twist connectors as text: (pre, pre_right, post, post_right).
-
-    A run's connector is chosen by the input link before or after it: the
-    left one for a link at point index - 1, which `pre` and `post` map to
-    it, else the right one.
-    """
-    left = [chr(code) for code in range(3 * index, 3 * index + 3)]
-    pre = dict.fromkeys(left, "".join(map(chr, prefix_codes(index, sign, True))))
-    post = dict.fromkeys(left, "".join(map(chr, postfix_codes(index, sign, True))))
-    return (pre, "".join(map(chr, prefix_codes(index, sign, False))),
-            post, "".join(map(chr, postfix_codes(index, sign, False))))
+    rotation = {code: 6 * index + 11 - code for code in range(lo, lo + 6)}
+    detach = {}
+    for q, other, outer in ((index, index + 1, index - 1), (index + 1, index, index + 2)):
+        below = text((outer, -1))
+        detach[text((q, 0), (-1, 0))] = below
+        for position in (-1, 0, 1):
+            detach[text((q, 1), (other, position))] = below
+            detach[text((q, 1), (outer, position))] = below + text((q, -1))
+    left = [text((index - 1, position)) for position in (-1, 0, 1)]
+    pre_left = text((index, -sign), (index + 1, -sign))
+    pre_right = text((index + 1, sign), (index, sign))
+    return (pattern, rotation, detach, dict.fromkeys(left, pre_left), pre_right,
+            dict.fromkeys(left, pre_left[::-1]), pre_right[::-1])
 
 
 def twist_pieces(text: str, index: int, sign: int) -> tuple[list[str], int]:
@@ -225,17 +199,18 @@ def twist_pieces(text: str, index: int, sign: int) -> tuple[list[str], int]:
       1. If the link before the run is the basepoint separator, the path is
          first nudged off the basepoint: one or two below-pass links are
          inserted right after the separator so that the run is preceded by
-         an ordinary link (detach_codes: six patterns, one per way a path
-         can leave the basepoint into the twisted region). For boundary
-         generators this may create a link at the virtual point 0 or n+1;
-         the reduction deletes it again.
+         an ordinary link (the detach table of _twist_rules, keyed by the
+         run's first two links). For boundary generators this may create a
+         link at the virtual point 0 or n+1; the reduction deletes it again.
+         A run start that no key covers raises InternalStateError naming its
+         offset.
       2. The run itself is rotated in place: each link's position flips sign
          and its point reflects across the twist center (i <-> i+1).
       3. Two-link connectors are spliced in before and after the rotated run
-         to rejoin it with the rest of the path (prefix_codes/postfix_codes),
-         passing below the twisted region when the neighbouring link lies to
-         its left and above when it lies to its right (mirrored for a
-         negative twist).
+         to rejoin it with the rest of the path (the pre and post tables of
+         _twist_rules, looked up by the neighbouring link), passing below
+         the twisted region when the neighbouring link lies to its left and
+         above when it lies to its right (mirrored for a negative twist).
 
     Runs are located against the input list, so links inserted for one run
     are never re-twisted. The insert count covers steps 1 and 3, so the
@@ -252,8 +227,7 @@ def twist_pieces(text: str, index: int, sign: int) -> tuple[list[str], int]:
         run's first link, which no rule matches);
       * a connector's two links are +-1 passes at distinct points.
     """
-    pattern, table = _run_splitter(index)
-    pre, pre_right, post, post_right = _connectors(index, sign)
+    pattern, rotation, detach, pre, pre_right, post, post_right = _twist_rules(index, sign)
     separator = chr(SEPARATOR_CODE)
 
     parts = pattern.split(text)  # gap, run, gap, ..., run, gap
@@ -263,18 +237,19 @@ def twist_pieces(text: str, index: int, sign: int) -> tuple[list[str], int]:
         run, gap = parts[p], parts[p + 1]
         before = parts[p - 1][-1]
         if before == separator:
-            try:
-                added = detach_codes(
-                    ord(run[0]), ord(run[1] if len(run) > 1 else gap[0]), index
+            key = run[0] + (run[1] if len(run) > 1 else gap[0])
+            added = detach.get(key)
+            if added is None:
+                raise InternalStateError(
+                    f"link {sum(map(len, parts[:p]))}: run after a separator starts "
+                    f"{code_link(ord(key[0]))} -> {code_link(ord(key[1]))}, "
+                    f"which no detachment case covers"
                 )
-            except InternalStateError as error:
-                offset = sum(map(len, parts[:p]))
-                raise InternalStateError(f"link {offset}: {error}") from error
-            before = chr(added[0])
+            before = added[0]
             pieces.append(before)
-            run = "".join(map(chr, added[1:])) + run  # rotated with the run
+            run = added[1:] + run  # rotated with the run
             inserted += len(added)
-        pieces += (pre.get(before, pre_right), run.translate(table),
+        pieces += (pre.get(before, pre_right), run.translate(rotation),
                    post.get(gap[0], post_right), gap)
     return pieces, inserted
 

@@ -48,18 +48,12 @@ class TwistStats:
 def apply_letter(gbase: GBaseWord, letter: Letter) -> tuple[GBaseWord, TwistStats]:
     """Apply one letter's half-twist to a reduced g-base; returns the unreduced result.
 
-    The input must be reduced: the twist's detachment patterns assume the
-    conventions that reduction enforces, so anything else raises
-    MalformedGBaseError. A letter whose index is not in 1..n-1 or whose sign
-    is not +-1 raises ValueError.
+    The input must be reduced: the detach table of engine._twist_rules
+    covers only the ways a reduced path leaves the basepoint, so anything
+    else raises MalformedGBaseError. A letter whose index is not in 1..n-1
+    or whose sign is not +-1 raises MalformedWordError, as BraidWord does.
     """
-    if not 1 <= letter.index <= gbase.strand_count - 1:
-        raise ValueError(
-            f"generator index {letter.index} out of range for "
-            f"{gbase.strand_count} strands"
-        )
-    if letter.sign not in (1, -1):
-        raise ValueError(f"generator sign must be +1 or -1, got {letter.sign}")
+    BraidWord(gbase.strand_count, (letter,))  # checks the letter's index and sign
     require_valid(gbase, reduced_expected=True)
     pieces, inserted = engine.twist_pieces(gbase.text, letter.index, letter.sign)
     stats = TwistStats(links_visited=len(gbase), links_inserted=inserted)

@@ -7,8 +7,8 @@ import random
 
 from hypothesis import strategies as st
 
-from braidnf import engine
 from braidnf.braidword import BraidWord, Letter
+from braidnf.errors import InternalStateError
 from braidnf.gbase import GBaseWord, Link, code_link, link_code
 
 SEPARATOR = Link(-1, 0)
@@ -229,16 +229,43 @@ def twist_link(link: Link, index: int) -> Link:
 
 
 def detach(first: Link, second: Link, index: int) -> list[Link]:
-    first_code, second_code = codes_of([first, second])
-    return links_of(engine.detach_codes(first_code, second_code, index))
+    """Below-passes inserted after a separator that directly precedes a run.
+
+    `first` is the run's first link, `second` the following link of the path.
+    A reduced path leaves the basepoint into the region at q = first.point
+    only as the endpoint (q,0) before the separator, or as an above-pass
+    (q,1) heading to the other twisted point or back to q's outer neighbour
+    (index-1 for q = index, index+2 for q = index+1). It is nudged under
+    that outer neighbour first, and under q as well when it turns back.
+    """
+    q = first.point
+    if q in (index, index + 1):
+        outer = index - 1 if q == index else index + 2
+        if first.position == 0 and second == SEPARATOR:
+            return [Link(outer, -1)]
+        if first.position == 1 and second.point == 2 * index + 1 - q:
+            return [Link(outer, -1)]
+        if first.position == 1 and second.point == outer:
+            return [Link(outer, -1), Link(q, -1)]
+    raise InternalStateError(
+        f"run after a separator starts {first} -> {second}, "
+        f"which no detachment case covers"
+    )
 
 
 def prefix(index: int, sign: int, before_point: int) -> list[Link]:
-    return links_of(engine.prefix_codes(index, sign, before_point == index - 1))
+    """The connector before a rotated run: passes at index and index+1,
+    ordered away from the link before the run, below when that link is at
+    index-1 and above otherwise, mirrored for a negative twist."""
+    if before_point == index - 1:
+        return [Link(index, -sign), Link(index + 1, -sign)]
+    return [Link(index + 1, sign), Link(index, sign)]
 
 
 def postfix(index: int, sign: int, after_point: int) -> list[Link]:
-    return links_of(engine.postfix_codes(index, sign, after_point == index - 1))
+    """The connector after a rotated run: the prefix for the link after it,
+    reversed."""
+    return prefix(index, sign, after_point)[::-1]
 
 
 def reference_apply(gbase: GBaseWord, letter: Letter) -> tuple[Link, ...]:

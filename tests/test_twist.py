@@ -19,6 +19,7 @@ from conftest import (
     postfix,
     prefix,
     reference_apply,
+    text_of,
     twist_link,
     word_from_ints,
 )
@@ -88,6 +89,39 @@ def test_twist_names_the_run_with_no_detach_case():
     # a separator followed by (2,-1): no reduced path leaves the basepoint so
     with pytest.raises(InternalStateError, match="link 1"):
         engine.twist_pieces("".join(map(chr, [1, 9, 7, 1, 10, 1])), 1, 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_every_detach_pair_matches_the_reference(n):
+    # right after a separator, every region link first and every link at
+    # points i-1..i+2 or the separator second: the 14 pairs of the detach
+    # table detach as the reference does, and every other pair raises in
+    # both (a below-pass first, which R4 deletes after a separator; an
+    # endpoint not followed by the separator, which R3 forbids; an
+    # above-pass followed by its own point or by the separator, which a
+    # reduced path never is). None is skipped: the table pairs a reduced
+    # list cannot hold, those with a second link at the virtual point 0 or
+    # n+1, agree too.
+    for i in range(1, n):
+        firsts = [Link(p, q) for p in (i, i + 1) for q in (-1, 0, 1)]
+        seconds = [SEPARATOR] + [Link(p, q) for p in range(i - 1, i + 3) for q in (-1, 0, 1)]
+        for sign in (1, -1):
+            detached = 0
+            for first in firsts:
+                for second in seconds:
+                    pairs = [SEPARATOR, first, second] + [SEPARATOR] * (second != SEPARATOR)
+                    text = text_of(pairs)
+                    try:
+                        expected = reference_apply(gbase_of(n, pairs), Letter(i, sign))
+                    except InternalStateError:
+                        with pytest.raises(InternalStateError, match="no detachment case"):
+                            engine.twist_pieces(text, i, sign)
+                        continue
+                    pieces, inserted = engine.twist_pieces(text, i, sign)
+                    assert "".join(pieces) == text_of(expected)
+                    assert inserted == len(expected) - len(pairs)
+                    detached += 1
+            assert detached == 14
 
 
 @pytest.mark.parametrize(
