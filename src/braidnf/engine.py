@@ -22,12 +22,13 @@ the run pattern, the rotation, the detach links and the connectors, from
 one cached table of text, _twist_rules(index, sign), so the twist's inner
 loop does only lookups and slices. _push reduces onto one stack of str
 pieces: a piece is weighed only until one of its links is pushed, and the
-rest is copied as a slice. step_text is one letter, twist_pieces then _push;
-reduce_codes pushes one link per piece. These functions trust their input:
-solver.process_word starts from the standard g-base and feeds each step_text
-output back in, and solver.apply_letter and solver.reduce call require_valid
-first. Their counters fill solver.TwistStats. A code is a character only up
-to sys.maxunicode, which gbase.MAX_TEXT_STRANDS guarantees.
+rest is copied as a slice; reduce_codes pushes one link per piece. One
+letter is twist_pieces, then _push onto a fresh stack, in the loop of
+solver.process_word. These functions trust their input: that loop starts
+from the standard g-base and feeds each reduced output back in, and
+solver.apply_letter and solver.reduce call require_valid first. Their
+counters fill solver.TwistStats. A code is a character only up to sys.maxunicode, which
+gbase.MAX_TEXT_STRANDS guarantees.
 """
 
 from __future__ import annotations
@@ -253,19 +254,3 @@ def twist_pieces(text: str, index: int, sign: int) -> tuple[list[str], int]:
                    post.get(gap[0], post_right), gap)
     return pieces, inserted
 
-
-def step_text(text: str, index: int, sign: int) -> tuple[str, int, int, int]:
-    """One letter on a reduced list's text.
-
-    Returns (text, inserted, visited, deleted): the reduced list after the
-    letter and the counters of reduce_codes on the joined twist_pieces
-    output. _push takes the pieces as they are, so rule work is done only
-    where the twist splices. Every rule, and both InternalStateError checks,
-    decide from the pair (stack top, incoming link) alone, so `visited` and
-    `deleted` count exactly the weighings and deletions of the full scan,
-    and a malformed input is caught wherever a splice weighs it.
-    """
-    pieces, inserted = twist_pieces(text, index, sign)
-    stack: list[str] = []
-    visited, deleted = _push(stack, pieces)
-    return "".join(stack), inserted, visited, deleted

@@ -10,12 +10,7 @@ class MalformedGBaseError(ValueError):
 
 
 class InternalStateError(RuntimeError):
-    """An algorithmic invariant was violated; indicates a bug, not bad input.
-
-    letter is the index of the word letter being applied, when one was.
-    """
-
-    letter: int | None = None
+    """An algorithmic invariant was violated; indicates a bug, not bad input."""
 
 
 class ResourceLimitError(RuntimeError):

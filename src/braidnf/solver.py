@@ -1,24 +1,29 @@
 """Word-problem decisions by normal-form comparison.
 
-A word acts on the standard g-base letter by letter. Each letter is one
-fused twist and reduction (engine.step_text) on the list's text, so the list
-the next letter sees is always in normal form; the reduction works only where
-the twist spliced. Two words over the same strand count are equal exactly
-when their final lists are identical link by link. GBaseWord values appear
-only at the ends. apply_letter runs the same twist (engine.twist_pieces)
-without the reduction, and reduce runs engine.reduce_codes, each on a
+A word acts on the standard g-base letter by letter, in one loop
+(process_word) that normal_form and words_equal also run. Each letter
+twists the list's text (engine.twist_pieces) and reduces the pieces at once
+(engine._push), so the list the next letter sees is always in normal form;
+the reduction works only where the twist spliced. Two words over the same
+strand count are equal exactly when their final lists are identical link by
+link. GBaseWord values appear only at the ends. apply_letter runs the same
+twist without the reduction, and reduce runs engine.reduce_codes, each on a
 GBaseWord's text after checking it.
 
-words_equal and is_identity first apply group laws that cannot change the
-verdict: the permutation test, cancelling sigma_i ... sigma_i^-1 pairs across
-commuting letters (_reduced), and stripping the common prefix and suffix.
-Only what is left reaches process_word. normal_form runs process_word on the
-reduced word, which has the same normal form.
+The loop can take the positions of the letters to apply, so every caller
+hands it the word it was given: normal_form the positions left by
+cancelling sigma_i ... sigma_i^-1 pairs across commuting letters
+(_reduced), which keeps the normal form, and words_equal those left after
+that and after stripping the common prefix and suffix. An
+InternalStateError names the letter by its position in that word. The
+callers look process_word up by name, so braidbench/spans.py, which
+traces it, counts every run of the loop.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import Sequence
 
 from . import engine
 from .braidword import BraidWord, Letter, permutation_of_word
@@ -67,40 +72,40 @@ def reduce(gbase: GBaseWord) -> GBaseWord:
     return GBaseWord(gbase.strand_count, text)
 
 
-def process_word(word: BraidWord) -> tuple[GBaseWord, list[TwistStats]]:
+def process_word(
+    word: BraidWord, *, _positions: Sequence[int] | None = None
+) -> tuple[GBaseWord, list[TwistStats]]:
     """Act on the standard g-base with each letter, reducing after every step.
 
     Returns the final reduced g-base and one stats record per letter (twist
     counters plus the reduce counters of the normalization that followed).
-    More than gbase.MAX_TEXT_STRANDS strands raise ResourceLimitError. An
-    InternalStateError names the letter's index k and value, and carries k
-    as its letter attribute.
+    More than gbase.MAX_TEXT_STRANDS strands raise ResourceLimitError.
+
+    This is the loop every word-level function runs. Each letter twists the
+    list's text (engine.twist_pieces) and pushes the pieces onto a fresh
+    stack (engine._push), which reduces them, so the next letter sees the
+    normal form. The push weighs only where the twist spliced, yet every
+    rule and both InternalStateError checks decide from the pair (stack top,
+    incoming link) alone, so its counters equal those of reduce_codes on the
+    joined pieces. normal_form and words_equal pass the positions of the
+    letters to apply, in order, as _positions (all of them by default), so
+    an InternalStateError names the letter by its position k in word and
+    its value.
     """
     text = standard_gbase(word.strand_count).text
     per_letter: list[TwistStats] = []
-    for k, letter in enumerate(word.letters):
-        visited = len(text)
+    for k in range(len(word.letters)) if _positions is None else _positions:
+        index, sign = word.letters[k]
+        stack: list[str] = []
         try:
-            text, inserted, reduce_visited, deleted = engine.step_text(
-                text, letter.index, letter.sign
-            )
+            pieces, inserted = engine.twist_pieces(text, index, sign)
+            visited, deleted = engine._push(stack, pieces)
         except InternalStateError as error:
-            raise _letter_error(k, letter, error) from error
-        per_letter.append(
-            TwistStats(
-                links_visited=visited,
-                links_inserted=inserted,
-                reduce_links_visited=reduce_visited,
-                reduce_links_deleted=deleted,
-            )
-        )
+            raise InternalStateError(f"letter {k} ({index * sign}): {error}") from error
+        per_letter.append(TwistStats(len(text), inserted, visited, deleted))
+        text = "".join(stack)
+        del pieces, stack  # or they would live on through the next twist
     return GBaseWord(word.strand_count, text), per_letter
-
-
-def _letter_error(k: int, letter: Letter, cause: BaseException) -> InternalStateError:
-    error = InternalStateError(f"letter {k} ({letter.index * letter.sign}): {cause}")
-    error.letter = k
-    return error
 
 
 def _reduced(letters: tuple[Letter, ...]) -> list[int]:
@@ -135,19 +140,9 @@ def normal_form(word: BraidWord) -> GBaseWord:
 
     Cancelling sigma_i ... sigma_i^-1 across commuting letters (_reduced)
     keeps the braid, so it keeps the normal form. An InternalStateError
-    names the index of the letter in word, not in the reduced word.
+    names the letter's index in word.
     """
-    kept = _reduced(word.letters)
-    try:
-        gbase, _ = process_word(
-            BraidWord(word.strand_count, tuple(word.letters[k] for k in kept))
-        )
-    except InternalStateError as error:
-        if error.letter is None:
-            raise
-        k = kept[error.letter]
-        raise _letter_error(k, word.letters[k], error.__cause__) from error.__cause__
-    return gbase
+    return process_word(word, _positions=_reduced(word.letters))[0]
 
 
 def words_equal(first: BraidWord, second: BraidWord) -> bool:
@@ -163,7 +158,9 @@ def words_equal(first: BraidWord, second: BraidWord) -> bool:
     2. cancel sigma_i ... sigma_i^-1 pairs across commuting letters in both
        words (_reduced);
     3. strip the longest common prefix and suffix, as p u s = p v s iff u = v;
-    4. only then compare the process_word normal forms of the remainders.
+    4. only then compare the normal forms of the remainders, acting with
+       their letters where they stand, so an InternalStateError names the
+       letter's index in first or second.
     """
     if first.strand_count != second.strand_count:
         raise ValueError(
@@ -173,18 +170,20 @@ def words_equal(first: BraidWord, second: BraidWord) -> bool:
     check_strand_count(first.strand_count)
     if permutation_of_word(first) != permutation_of_word(second):
         return False
-    u = [first.letters[k] for k in _reduced(first.letters)]
-    v = [second.letters[k] for k in _reduced(second.letters)]
+    a, b = first.letters, second.letters
+    u, v = _reduced(a), _reduced(b)
     shorter = min(len(u), len(v))
     start = 0
-    while start < shorter and u[start] == v[start]:
+    while start < shorter and a[u[start]] == b[v[start]]:
         start += 1
     stop = 0
-    while stop < shorter - start and u[-1 - stop] == v[-1 - stop]:
+    while stop < shorter - start and a[u[-1 - stop]] == b[v[-1 - stop]]:
         stop += 1
-    u_rest = BraidWord(first.strand_count, tuple(u[start:len(u) - stop]))
-    v_rest = BraidWord(first.strand_count, tuple(v[start:len(v) - stop]))
-    return u_rest == v_rest or process_word(u_rest)[0] == process_word(v_rest)[0]
+    u, v = u[start:len(u) - stop], v[start:len(v) - stop]
+    # the strip leaves two equal remainders only when both are empty
+    return not (u or v) or (
+        process_word(first, _positions=u)[0] == process_word(second, _positions=v)[0]
+    )
 
 
 def is_identity(word: BraidWord) -> bool:
@@ -192,6 +191,6 @@ def is_identity(word: BraidWord) -> bool:
 
     This is words_equal against the empty word, so it gets the same pre-pass:
     false unless the permutation is the identity, then the cancellation of
-    _reduced, then process_word on what is left.
+    _reduced, then the g-base loop on what is left.
     """
     return words_equal(word, BraidWord(word.strand_count, ()))

@@ -113,20 +113,26 @@ def dynnikov(word: BraidWord) -> tuple[int, ...]:
     curves in the punctured disk with fixed arcs, so they grow only linearly
     in bits with the word length.
     """
-    coords = [0, 1] * word.strand_count
+    coords = (0, 1) * word.strand_count
     for index, sign in word.letters:
-        k = 2 * index - 2
-        a, b, c, d = coords[k:k + 4]
-        b_minus, b_plus, d_minus, d_plus = min(b, 0), max(b, 0), min(d, 0), max(d, 0)
-        if sign > 0:
-            t = a - b_minus - c + d_plus
-            coords[k:k + 4] = (a + b_plus + max(d_plus - t, 0), d - max(t, 0),
-                               c + d_minus + min(b_minus + t, 0), b + max(t, 0))
-        else:
-            t = a + b_minus - c - d_plus
-            coords[k:k + 4] = (a - b_plus - max(d_plus + t, 0), d + min(t, 0),
-                               c - d_minus - min(b_minus - t, 0), b - min(t, 0))
-    return tuple(coords)
+        coords = dynnikov_step(coords, index, sign)
+    return coords
+
+
+def dynnikov_step(coords: tuple[int, ...], index: int, sign: int) -> tuple[int, ...]:
+    """The coordinates after one letter: only x_i, y_i, x_i+1, y_i+1 change."""
+    k = 2 * index - 2
+    a, b, c, d = coords[k:k + 4]
+    b_minus, b_plus, d_minus, d_plus = min(b, 0), max(b, 0), min(d, 0), max(d, 0)
+    if sign > 0:
+        t = a - b_minus - c + d_plus
+        changed = (a + b_plus + max(d_plus - t, 0), d - max(t, 0),
+                   c + d_minus + min(b_minus + t, 0), b + max(t, 0))
+    else:
+        t = a + b_minus - c - d_plus
+        changed = (a - b_plus - max(d_plus + t, 0), d + min(t, 0),
+                   c - d_minus - min(b_minus - t, 0), b - min(t, 0))
+    return coords[:k] + changed + coords[k + 4:]
 
 
 # -- Link <-> code conversion for tests written in terms of links -------------

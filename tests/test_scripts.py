@@ -1,3 +1,4 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -24,3 +25,13 @@ def test_doubling_experiment_runs():
     assert result.returncode == 0, result.stderr
     assert "log-log fit exponent:" in result.stdout
     assert "spread" in result.stdout
+
+
+def test_mutants_script_reports_the_killing_test():
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    (rotation,) = [m for m in mutants.MUTANTS if m[0] == "rotation off by 2"]
+    assert mutants.run_mutant(rotation, ("tests/test_twist.py",)).startswith(
+        "tests/test_twist.py::"
+    )

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import time
 
@@ -18,7 +19,7 @@ from braidnf.gbase import (
     validate,
 )
 from braidnf.oracle import oracle_equal
-from braidnf.solver import is_identity, normal_form, process_word, words_equal
+from braidnf.solver import TwistStats, is_identity, normal_form, process_word, words_equal
 
 from conftest import (
     braid_words,
@@ -44,6 +45,19 @@ def test_positive_generator_trace():
 def test_negative_generator_trace():
     gbase, _ = process_word(parse_word("-1", 2))
     assert format_gbase(gbase) == "(-1,0) (1,1) (2,0) (-1,0) (1,0) (-1,0)"
+
+
+@pytest.mark.parametrize("text", ["1", "-1"])
+def test_one_letter_counts_one_r2_retry(text):
+    # Derived by hand from the standard list (-1,0) (1,0) (-1,0) (2,0) (-1,0).
+    # Both runs follow a separator, so each gets a detach link and two
+    # connectors: 10 inserted, 15 unreduced links. R4 drops the detach links
+    # and the below-passes after them, R3 the debris after each endpoint: 8
+    # deletions. The ninth is one R2 near-pass, the pre connector's last link
+    # right before a rotated endpoint: (1,1) before (1,0) for "1", (2,1)
+    # before (2,0) for "-1". The pop re-weighs the endpoint against the new
+    # top, so 15 + 1 weighings, leaving the 6-link normal form.
+    assert process_word(parse_word(text, 2))[1] == [TwistStats(5, 10, 16, 9)]
 
 
 def test_inverse_pair_returns_standard_base():
@@ -134,36 +148,43 @@ def test_agrees_with_free_group_action(word, salt):
     assert words_equal(word, other) == oracle_equal(word, other)
 
 
-def test_internal_error_names_the_letter(monkeypatch):
-    real_step = engine.step_text
+def push_failing_on_call(monkeypatch, failing):
+    """Make engine._push raise on its `failing`-th call, one call per letter."""
+    real_push = engine._push
     calls = []
 
-    def step_failing_on_fourth_letter(text, index, sign):
+    def push(stack, pieces):
         calls.append(None)
-        if len(calls) == 4:
+        if len(calls) == failing:
             raise InternalStateError("broken invariant")
-        return real_step(text, index, sign)
+        return real_push(stack, pieces)
 
-    monkeypatch.setattr(engine, "step_text", step_failing_on_fourth_letter)
+    monkeypatch.setattr(engine, "_push", push)
+
+
+def test_internal_error_names_the_letter(monkeypatch):
+    push_failing_on_call(monkeypatch, 4)
     with pytest.raises(InternalStateError, match=r"^letter 3 \(-2\): broken invariant$"):
         process_word(parse_word("1 2 -1 -2 1", 3))
 
 
 def test_normal_form_names_the_letter_of_the_input_word(monkeypatch):
-    real_step = engine.step_text
-    calls = []
-
-    def step_failing_on_second_letter(text, index, sign):
-        calls.append(None)
-        if len(calls) == 2:
-            raise InternalStateError("broken invariant")
-        return real_step(text, index, sign)
-
-    monkeypatch.setattr(engine, "step_text", step_failing_on_second_letter)
+    push_failing_on_call(monkeypatch, 2)
     # 1 and -1 cancel across 3, so the second letter stepped is input letter 3
     with pytest.raises(InternalStateError, match=r"^letter 3 \(2\): broken invariant$") as info:
         normal_form(parse_word("1 3 -1 2 2", 4))
-    assert info.value.letter == 3
+    assert isinstance(info.value.__cause__, InternalStateError)
+
+
+def test_words_equal_names_the_letter_of_the_input_word(monkeypatch):
+    push_failing_on_call(monkeypatch, 2)
+    # 1 and -1 cancel across 3 in the first word, and the common prefix 3 3
+    # goes, so the remainders are 2 2 (first letters 4, 5) and -2 -2; the
+    # second letter stepped is letter 5 of the first word, not letter 1 of
+    # its remainder
+    first, second = parse_word("1 3 -1 3 2 2", 4), parse_word("3 3 -2 -2", 4)
+    with pytest.raises(InternalStateError, match=r"^letter 5 \(2\): broken invariant$") as info:
+        words_equal(first, second)
     assert isinstance(info.value.__cause__, InternalStateError)
 
 
@@ -196,12 +217,12 @@ def test_apply_letter_refuses_strands_beyond_the_text_range_first():
 
 @pytest.fixture
 def process_word_calls(monkeypatch):
-    """Lengths of the words words_equal hands to process_word."""
+    """Numbers of letters words_equal hands to process_word, one per call."""
     lengths = []
 
-    def counting(word):
-        lengths.append(len(word))
-        return process_word(word)
+    def counting(word, *, _positions=None):
+        lengths.append(len(word) if _positions is None else len(_positions))
+        return process_word(word, _positions=_positions)
 
     monkeypatch.setattr(solver, "process_word", counting)
     return lengths
@@ -294,6 +315,31 @@ def test_common_prefix_and_suffix_are_stripped(process_word_calls):
         second = word_from_ints(n, p + [-i] + s)
         assert not words_equal(first, second)
     assert process_word_calls and set(process_word_calls) == {1}
+
+
+def test_stripped_prefix_and_suffix_never_overlap():
+    # here one reduced word is both a prefix and a suffix of the other, so the
+    # prefix strip takes all of the shorter one; a suffix strip counting past
+    # it would take the same letters again and call sigma_1^3 = sigma_1^5
+    assert not words_equal(parse_word("1 1 1", 2), parse_word("1 1 1 1 1", 2))
+    rng = random.Random(5)
+
+    def values(n, length):
+        return [rng.randint(1, n - 1) * rng.choice((1, -1)) for _ in range(length)]
+
+    for n in (2, 3, 5):
+        pairs = []
+        # powers w^a against w^b, a != b
+        for w in [[1], [-1]] + [values(n, rng.randint(1, 3)) for _ in range(4)]:
+            pairs += [(w * a, w * b) for a, b in itertools.combinations(range(6), 2)]
+        # p s against p v s, both ways round: v is a pure braid, so the
+        # permutations agree
+        for _ in range(10):
+            p, s, v = values(n, rng.randint(0, 3)), values(n, rng.randint(0, 3)), values(n, 1) * 2
+            pairs += [(p + s, p + v + s), (p + v + s, p + s)]
+        for x, y in pairs:
+            first, second = word_from_ints(n, x), word_from_ints(n, y)
+            assert words_equal(first, second) == oracle_equal(first, second)
 
 
 def test_strand_limit_comes_before_the_pre_pass():

@@ -1,6 +1,7 @@
-"""engine.step_text against an independent twist and reduction: the Link-level
-reference_apply (conftest) followed by engine.reduce_codes; and engine._push
-on stacks of text pieces."""
+"""One letter of the solver's loop, engine.twist_pieces then engine._push,
+against an independent twist and reduction: the Link-level reference_apply
+(conftest) followed by engine.reduce_codes; engine._push on stacks of text
+pieces; and the loop over every short word against Dynnikov coordinates."""
 
 import random
 
@@ -9,12 +10,56 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidnf import engine
-from braidnf.braidword import Letter
+from braidnf.braidword import BraidWord, Letter, permutation_of_word
 from braidnf.errors import InternalStateError
-from braidnf.gbase import GBaseWord, format_gbase, parse_gbase
-from braidnf.solver import process_word
+from braidnf.gbase import (
+    GBaseWord,
+    endpoints_permutation,
+    format_gbase,
+    parse_gbase,
+    standard_gbase,
+)
+from braidnf.solver import TwistStats, process_word
 
-from conftest import reference_apply, text_of, valid_gbases, word_from_ints
+from conftest import (
+    braid_words,
+    dynnikov_step,
+    reference_apply,
+    text_of,
+    valid_gbases,
+    word_from_ints,
+)
+
+
+def step_text(text, index, sign):
+    """One letter on a reduced list's text, as solver.process_word runs it.
+
+    Returns (text, inserted, visited, deleted): the reduced list after the
+    letter and the counters of reduce_codes on the joined twist_pieces
+    output. _push takes the pieces as they are, so rule work is done only
+    where the twist splices. Every rule, and both InternalStateError checks,
+    decide from the pair (stack top, incoming link) alone, so `visited` and
+    `deleted` count exactly the weighings and deletions of the full scan,
+    and a malformed input is caught wherever a splice weighs it.
+    """
+    pieces, inserted = engine.twist_pieces(text, index, sign)
+    stack = []
+    visited, deleted = engine._push(stack, pieces)
+    return "".join(stack), inserted, visited, deleted
+
+
+@settings(max_examples=150, deadline=None)
+@given(braid_words(max_strands=12, max_length=24))
+def test_step_text_is_the_solver_loop(word):
+    # the tests below check this copy of one letter; process_word must run
+    # the same step, letter for letter, with the same counters
+    gbase, per_letter = process_word(word)
+    text, steps = standard_gbase(word.strand_count).text, []
+    for index, sign in word.letters:
+        previous = text
+        text, inserted, visited, deleted = step_text(text, index, sign)
+        steps.append(TwistStats(len(previous), inserted, visited, deleted))
+    assert (gbase.text, per_letter) == (text, steps)
 
 
 def two_pass(n, text, index, sign):
@@ -44,7 +89,7 @@ def test_step_text_matches_twist_then_reduce(case):
     # letters 1 and n-1 reach the detach cases that make points 0 and n+1
     for index in sorted({1, n - 1, drawn}):
         for sign in (1, -1):
-            assert engine.step_text(text, index, sign) == two_pass(n, text, index, sign)
+            assert step_text(text, index, sign) == two_pass(n, text, index, sign)
 
 
 @pytest.mark.parametrize("n", [90, 20000])
@@ -54,7 +99,7 @@ def test_step_text_holds_wide_codes(n):
     gbase = process_word(word_from_ints(n, [n - 1, -1, n // 2, n - 2, 2, 1 - n]))[0]
     assert max(map(ord, gbase.text)) > (255 if n == 90 else 0xD800)
     for index in (1, n // 2, n - 1):
-        assert engine.step_text(gbase.text, index, -1) == two_pass(n, gbase.text, index, -1)
+        assert step_text(gbase.text, index, -1) == two_pass(n, gbase.text, index, -1)
     # the text form and a list rebuilt from its links give an equal value
     for rebuilt in (parse_gbase(format_gbase(gbase), n), GBaseWord(n, text_of(gbase.links))):
         assert rebuilt == gbase and hash(rebuilt) == hash(gbase)
@@ -93,7 +138,7 @@ def test_step_text_raises_what_the_single_steps_raise(pairs, message, fused_pref
         two_pass(2, text, 1, 1)
     if fused_prefix is not None:
         with pytest.raises(InternalStateError) as fused:
-            engine.step_text(text, 1, 1)
+            step_text(text, 1, 1)
         assert str(fused.value) == fused_prefix + str(two_steps.value)
 
 
@@ -127,3 +172,31 @@ def test_push_keeps_a_reduced_list_in_pieces(case, salt):
     stack = [text[0]]
     visited, deleted = engine._push(stack, cut(text[1:], random.Random(salt)))
     assert ("".join(stack), visited, deleted) == (text, len(text) - 1, 0)
+
+
+@pytest.mark.parametrize(
+    "n, depth, freely_reduced",
+    [(3, 7, False), (4, 5, False), (4, 6, True), (6, 4, True), (8, 4, True)],
+)
+def test_prefix_tree_agrees_with_dynnikov(n, depth, freely_reduced):
+    # every word up to `depth` letters (with no letter right after its
+    # inverse, if freely_reduced), one letter per node: each child steps its
+    # parent's text and coordinates. Equal braids have equal coordinates, so
+    # the normal forms are a complete invariant iff text -> coordinates is a
+    # bijection over the nodes
+    inverse = {Letter(i, sign): Letter(i, -sign) for i in range(1, n) for sign in (1, -1)}
+    coords_of, text_of_coords = {}, {}
+    nodes = [(standard_gbase(n).text, (0, 1) * n, ())]
+    while nodes:
+        text, coords, letters = nodes.pop()
+        assert coords_of.setdefault(text, coords) == coords, letters
+        assert text_of_coords.setdefault(coords, text) == text, letters
+        assert endpoints_permutation(GBaseWord(n, text)) == permutation_of_word(
+            BraidWord(n, letters)
+        )
+        if len(letters) == depth:
+            continue
+        for letter in inverse:
+            if not (freely_reduced and letters and letters[-1] == inverse[letter]):
+                child = step_text(text, *letter)[0], dynnikov_step(coords, *letter)
+                nodes.append((*child, letters + (letter,)))
