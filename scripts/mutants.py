@@ -35,8 +35,8 @@ MUTANTS = [
      "while position != 1 and code == top - position + 1:",
      "if position != 1 and code == top - position + 1:"),
     ("R2 retries not counted", "engine.py",
-     "return sum(map(len, pieces)) + near_passes,",
-     "return sum(map(len, pieces)),"),
+     "sum(map(len, pieces)) + near_passes, deleted",
+     "sum(map(len, pieces)), deleted"),
     ("R3 after a separator", "engine.py",
      "elif position == 1 and top != SEPARATOR_CODE and code != SEPARATOR_CODE:",
      "elif position == 1 and code != SEPARATOR_CODE:"),
@@ -53,6 +53,8 @@ MUTANTS = [
      "dict.fromkeys(left, pre_left[::-1]), pre_right)"),
     ("detach link (q,-1) dropped", "engine.py",
      "= below + text((q, -1))", "= below"),
+    ("inserts not conserved", "solver.py",
+     "len(text) + deleted - length", "len(text) - length"),
     ("_reduced across a neighbour", "solver.py",
      "if left and right and left[-1] == right[-1] and letters[left[-1]]",
      "if left and right and letters[left[-1]]"),

@@ -54,7 +54,12 @@ def parse_word(text: str, strand_count: int) -> BraidWord:
     for token in text.split():
         if _INTEGER.fullmatch(token) is None:
             raise MalformedWordError(f"token {token!r} is not an integer")
-        value = int(token)
+        try:
+            value = int(token)
+        except ValueError:  # past the interpreter's limit on digits per int
+            raise MalformedWordError(
+                f"token of {len(token)} characters starting {token[:10]!r}: too many digits"
+            ) from None
         if value == 0:
             raise MalformedWordError(f"token {token!r}: generator index must be nonzero")
         index, sign = (value, 1) if value > 0 else (-value, -1)

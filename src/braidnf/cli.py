@@ -72,8 +72,9 @@ def _run(args: argparse.Namespace) -> int:
             raise ValueError("bench needs --strands >= 1, --length >= 0, --count >= 0")
         if args.strands == 1 and args.length > 0:
             raise ValueError("no generators exist over 1 strand; use --length 0")
+        rows = bench_rows(args.strands, args.length, args.count, args.seed)
         print(CSV_HEADER)
-        for row in bench_rows(args.strands, args.length, args.count, args.seed):
+        for row in rows:
             print(row.csv())
         return 0
 

@@ -16,19 +16,20 @@ Handy consequences, used throughout:
                                    (point reflects across i, i+1; position
                                    flips sign; one subtraction does both)
 
-twist_pieces applies one half-twist to a list's text and returns the output
-as pieces with no reducible pair inside. It reads every rule of the letter,
-the run pattern, the rotation, the detach links and the connectors, from
-one cached table of text, _twist_rules(index, sign), so the twist's inner
-loop does only lookups and slices. _push reduces onto one stack of str
-pieces: a piece is weighed only until one of its links is pushed, and the
-rest is copied as a slice; reduce_codes pushes one link per piece. One
-letter is twist_pieces, then _push onto a fresh stack, in the loop of
-solver.process_word. These functions trust their input: that loop starts
-from the standard g-base and feeds each reduced output back in, and
-solver.apply_letter and solver.reduce call require_valid first. Their
-counters fill solver.TwistStats. A code is a character only up to sys.maxunicode, which
-gbase.MAX_TEXT_STRANDS guarantees.
+The engine is two calls. twist_pieces(text, index, sign) applies one
+half-twist and returns the output as pieces with no reducible pair inside;
+it reads every rule of the letter (the run pattern, the rotation, the
+detach links and the connectors) from one cached table of text,
+_twist_rules(index, sign), so its inner loop does only lookups and slices.
+reduce_codes(pieces) reduces onto its own stack of str pieces: a piece is
+weighed only until one of its links is pushed, and the rest is copied as a
+slice; a whole text is one-link pieces. One letter of solver.process_word
+is reduce_codes(twist_pieces(text, index, sign)). These functions trust
+their input: that loop starts from the standard g-base and feeds each
+reduced output back in, and solver.apply_letter and solver.reduce call
+require_valid first. Their counters fill solver.TwistStats. A code is a
+character only up to sys.maxunicode, which gbase.MAX_TEXT_STRANDS
+guarantees.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from .errors import InternalStateError
 from .gbase import SEPARATOR_CODE, code_link, link_code
 
 
-def reduce_codes(text: str) -> tuple[str, int, int]:
-    """Run the four deletion rules to fixpoint on a list's text; returns
-    (text, visited, deleted).
+def reduce_codes(pieces: Sequence[str]) -> tuple[str, int, int]:
+    """Run the four deletion rules to fixpoint on pieces of chr(code) links,
+    read in order; returns (text, visited, deleted).
 
     Each rule is a homotopy of the encoded paths:
 
@@ -56,43 +57,33 @@ def reduce_codes(text: str) -> tuple[str, int, int]:
       R4  a block of below-passes directly after a separator: a path leaving
           the basepoint may always start with the straight segment instead.
 
-    The scan is a single left-to-right pass over a growing output stack: each
-    incoming link is weighed against the stack top with the rules in the
-    order above, retrying after every R2 pop, so every newly adjacent pair is
-    re-examined before anything else happens. One step of retrace is enough
-    and each link is handled at most twice, which keeps the work linear
-    (`visited` counts these weighings, `deleted` the links dropped).
-    Separators and endpoint links are never deleted, R1 refuses position-0
-    links outright, and no rule matches across a separator. The fixpoint is
-    the same whatever order the rules are applied in (the test suite checks
-    this against a randomized applier), which is what makes list equality
-    decide braid-word equality.
-
-    The stack is _push's, fed each character of the text as its own
-    one-link piece.
-    """
-    stack: list[str] = []
-    visited, deleted = _push(stack, text)
-    return "".join(stack), visited, deleted
-
-
-def _push(stack: list[str], pieces: Sequence[str]) -> tuple[int, int]:
-    """Push each piece of chr(code) links onto a stack of str pieces by
-    reduce_codes's rules; returns the weighings and deletions.
+    The scan is a single left-to-right pass over a growing output stack of
+    str pieces: each incoming link is weighed against the stack top with the
+    rules in the order above, retrying after every R2 pop, so every newly
+    adjacent pair is re-examined before anything else happens. One step of
+    retrace is enough and each link is handled at most twice, which keeps
+    the work linear. Separators and endpoint links are never deleted, R1
+    refuses position-0 links outright, and no rule matches across a
+    separator. The fixpoint is the same whatever order the rules are applied
+    in (the test suite checks this against a randomized applier), which is
+    what makes list equality decide braid-word equality.
 
     Every piece must be internally reduced: no two adjacent links of it may
-    match a rule. So a piece's links are weighed one at a time only until
-    one is pushed; each later link would meet its own predecessor on top
-    and be pushed after one weighing, so the rest of the piece is appended
-    as one slice. Each link is weighed once, plus once more after each R2
-    pop it causes, which is how `visited` is counted. A pop shortens the top
-    piece, or removes it once empty. Empty pieces, on the stack or among
-    `pieces`, hold no links and change nothing.
+    match a rule, as one-link pieces such as a str's characters are. So a
+    piece's links are weighed one at a time only until one is pushed; each
+    later link would meet its own predecessor on top and be pushed after one
+    weighing, so the rest of the piece is appended as one slice. Every rule
+    and both InternalStateError checks decide from the pair (stack top,
+    incoming link) alone, so the counters are those of the link-by-link
+    scan: `visited` counts each link once, plus once more after each R2 pop
+    it causes, and `deleted` the links dropped. A pop shortens the top
+    piece, or removes it once empty; empty pieces hold no links and change
+    nothing.
     """
-    stack[:] = filter(None, stack)
+    stack: list[str] = []
     # -1 stands for the top of an empty stack: no code is -1 and no rule
     # matches it, so any link is pushed there
-    top = ord(stack[-1][-1]) if stack else -1
+    top = -1
     near_passes = 0  # R2 deletions
     deleted = 0  # the others
     for piece in pieces:
@@ -127,7 +118,7 @@ def _push(stack: list[str], pieces: Sequence[str]) -> tuple[int, int]:
                 top = ord(piece[-1])
                 break
             k += 1
-    return sum(map(len, pieces)) + near_passes, deleted + near_passes
+    return "".join(stack), sum(map(len, pieces)) + near_passes, deleted + near_passes
 
 
 def _pop(stack: list[str]) -> int:
@@ -187,9 +178,9 @@ def _twist_rules(index: int, sign: int) -> tuple[
             dict.fromkeys(left, pre_left[::-1]), pre_right[::-1])
 
 
-def twist_pieces(text: str, index: int, sign: int) -> tuple[list[str], int]:
+def twist_pieces(text: str, index: int, sign: int) -> list[str]:
     """Apply one half-twist to a reduced list's text; returns the
-    unreduced output, cut into pieces, and the insert count.
+    unreduced output, cut into pieces.
 
     The generator with index i acts as a half-twist that rotates a small disk
     around punctures i and i+1 by 180 degrees (positively or negatively). On
@@ -214,12 +205,12 @@ def twist_pieces(text: str, index: int, sign: int) -> tuple[list[str], int]:
          above when it lies to its right (mirrored for a negative twist).
 
     Runs are located against the input list, so links inserted for one run
-    are never re-twisted. The insert count covers steps 1 and 3, so the
-    output length is the input length plus it.
+    are never re-twisted. Steps 1 and 3 are the only inserts, so the pieces
+    hold the input's links plus those.
 
     The pieces are the gaps and, for each run, its detach link if any, its
     two connectors and the run rotated. Each is internally reduced, which
-    is what lets _push copy it as a slice:
+    is what lets reduce_codes copy it as a slice:
 
       * a gap is a slice of the reduced input;
       * the rotation maps each rule's pattern to itself, and a run holds no
@@ -233,7 +224,6 @@ def twist_pieces(text: str, index: int, sign: int) -> tuple[list[str], int]:
 
     parts = pattern.split(text)  # gap, run, gap, ..., run, gap
     pieces = [parts[0]]
-    inserted = 4 * (len(parts) // 2)
     for p in range(1, len(parts), 2):
         run, gap = parts[p], parts[p + 1]
         before = parts[p - 1][-1]
@@ -249,8 +239,7 @@ def twist_pieces(text: str, index: int, sign: int) -> tuple[list[str], int]:
             before = added[0]
             pieces.append(before)
             run = added[1:] + run  # rotated with the run
-            inserted += len(added)
         pieces += (pre.get(before, pre_right), run.translate(rotation),
                    post.get(gap[0], post_right), gap)
-    return pieces, inserted
+    return pieces
 

@@ -210,7 +210,12 @@ def parse_gbase(text: str, strand_count: int) -> GBaseWord:
         match = _TOKEN.fullmatch(token)
         if match is None:
             raise MalformedGBaseError(f"token {token!r} is not of the form (p,q) of integers")
-        point, position = int(match[1]), int(match[2])
+        try:
+            point, position = int(match[1]), int(match[2])
+        except ValueError:  # past the interpreter's limit on digits per int
+            raise MalformedGBaseError(
+                f"token of {len(token)} characters starting {token[:10]!r}: too many digits"
+            ) from None
         if position not in (-1, 0, 1):
             raise MalformedGBaseError(f"token {token!r}: position {position} out of range")
         code = link_code(point, position)

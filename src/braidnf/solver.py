@@ -1,14 +1,14 @@
 """Word-problem decisions by normal-form comparison.
 
 A word acts on the standard g-base letter by letter, in one loop
-(process_word) that normal_form and words_equal also run. Each letter
-twists the list's text (engine.twist_pieces) and reduces the pieces at once
-(engine._push), so the list the next letter sees is always in normal form;
-the reduction works only where the twist spliced. Two words over the same
-strand count are equal exactly when their final lists are identical link by
-link. GBaseWord values appear only at the ends. apply_letter runs the same
-twist without the reduction, and reduce runs engine.reduce_codes, each on a
-GBaseWord's text after checking it.
+(process_word) that normal_form and words_equal also run. Each letter is
+engine.reduce_codes(engine.twist_pieces(text, index, sign)), so the list
+the next letter sees is always in normal form; the reduction works only
+where the twist spliced. Two words over the same strand count are equal
+exactly when their final lists are identical link by link. GBaseWord values
+appear only at the ends. apply_letter runs the same twist without the
+reduction, and reduce the reduction alone, each on a GBaseWord's text after
+checking it.
 
 The loop can take the positions of the letters to apply, so every caller
 hands it the word it was given: normal_form the positions left by
@@ -60,9 +60,9 @@ def apply_letter(gbase: GBaseWord, letter: Letter) -> tuple[GBaseWord, TwistStat
     """
     BraidWord(gbase.strand_count, (letter,))  # checks the letter's index and sign
     require_valid(gbase, reduced_expected=True)
-    pieces, inserted = engine.twist_pieces(gbase.text, letter.index, letter.sign)
-    stats = TwistStats(links_visited=len(gbase), links_inserted=inserted)
-    return GBaseWord(gbase.strand_count, "".join(pieces)), stats
+    out = "".join(engine.twist_pieces(gbase.text, letter.index, letter.sign))
+    stats = TwistStats(links_visited=len(gbase), links_inserted=len(out) - len(gbase))
+    return GBaseWord(gbase.strand_count, out), stats
 
 
 def reduce(gbase: GBaseWord) -> GBaseWord:
@@ -81,30 +81,26 @@ def process_word(
     counters plus the reduce counters of the normalization that followed).
     More than gbase.MAX_TEXT_STRANDS strands raise ResourceLimitError.
 
-    This is the loop every word-level function runs. Each letter twists the
-    list's text (engine.twist_pieces) and pushes the pieces onto a fresh
-    stack (engine._push), which reduces them, so the next letter sees the
-    normal form. The push weighs only where the twist spliced, yet every
-    rule and both InternalStateError checks decide from the pair (stack top,
-    incoming link) alone, so its counters equal those of reduce_codes on the
-    joined pieces. normal_form and words_equal pass the positions of the
-    letters to apply, in order, as _positions (all of them by default), so
-    an InternalStateError names the letter by its position k in word and
-    its value.
+    This is the loop every word-level function runs. Each letter reduces
+    the twisted pieces, engine.reduce_codes(engine.twist_pieces(...)), so
+    the next letter sees the normal form. The reduction weighs only where
+    the twist spliced, with the counters of a full scan. The inserts follow
+    by conservation: the pieces hold the input's links plus the inserts,
+    and the reduced text is that minus the deletions. normal_form and
+    words_equal pass the positions of the letters to apply, in order, as
+    _positions (all of them by default), so an InternalStateError names the
+    letter by its position k in word and its value.
     """
     text = standard_gbase(word.strand_count).text
     per_letter: list[TwistStats] = []
     for k in range(len(word.letters)) if _positions is None else _positions:
         index, sign = word.letters[k]
-        stack: list[str] = []
+        length = len(text)
         try:
-            pieces, inserted = engine.twist_pieces(text, index, sign)
-            visited, deleted = engine._push(stack, pieces)
+            text, visited, deleted = engine.reduce_codes(engine.twist_pieces(text, index, sign))
         except InternalStateError as error:
             raise InternalStateError(f"letter {k} ({index * sign}): {error}") from error
-        per_letter.append(TwistStats(len(text), inserted, visited, deleted))
-        text = "".join(stack)
-        del pieces, stack  # or they would live on through the next twist
+        per_letter.append(TwistStats(length, len(text) + deleted - length, visited, deleted))
     return GBaseWord(word.strand_count, text), per_letter
 
 

@@ -42,6 +42,16 @@ def test_parse_rejects_bad_tokens(text, n):
     assert text.split()[-1] in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "token", ["1" * 5000, "-" + "0" * 4998 + "1"], ids=["digits", "sign-and-zeros"]
+)
+def test_parse_rejects_integers_past_the_digit_limit(token):
+    # int() refuses more than 4,300 digits with the interpreter's ValueError
+    with pytest.raises(MalformedWordError, match="5000 characters starting") as excinfo:
+        parse_word(f"1 {token}", 3)
+    assert token[:10] in str(excinfo.value)
+
+
 def test_parse_rejects_any_letter_on_one_strand():
     with pytest.raises(MalformedWordError):
         parse_word("1", 1)

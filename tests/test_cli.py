@@ -120,6 +120,12 @@ def test_strand_count_beyond_the_engine_exits_2(capsys):
     assert strands in err
 
 
+def test_integer_past_the_digit_limit_exits_2(capsys):
+    code, out, err = run(capsys, "equal", "--strands", "3", "1 " + "1" * 5000, "1")
+    assert (code, out) == (2, "")
+    assert "too many digits" in err and "set_int_max_str_digits" not in err
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "normal-form", "--strands", "2", "--file", "/nonexistent")
     assert code == 2
@@ -184,3 +190,7 @@ def test_bench_rejects_bad_flags(capsys):
                          "--count", "1", "--seed", "1")
     assert (code, out) == (2, "")
     assert "1 strand" in err
+    # the rows are built before the header is printed
+    code, out, err = run(capsys, "bench", "--strands", str(MAX_TEXT_STRANDS + 1), "--length",
+                         "0", "--count", "1", "--seed", "1")
+    assert (code, out) == (2, "")

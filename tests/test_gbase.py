@@ -134,6 +134,15 @@ def test_parse_rejects_malformed_tokens(text):
 
 
 @pytest.mark.parametrize(
+    "token", [f"({'1' * 5000},0)", f"(1,{'0' * 5000})"], ids=["point", "position"]
+)
+def test_parse_rejects_integers_past_the_digit_limit(token):
+    # int() refuses more than 4,300 digits with the interpreter's ValueError
+    with pytest.raises(MalformedGBaseError, match=r"5004 characters starting '\(1"):
+        parse_gbase(f"(-1,0) {token} (-1,0)", 3)
+
+
+@pytest.mark.parametrize(
     "n, text",
     [
         # code 3 * (n + 2) + 2 is past sys.maxunicode: no character holds it

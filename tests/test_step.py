@@ -1,7 +1,8 @@
-"""One letter of the solver's loop, engine.twist_pieces then engine._push,
-against an independent twist and reduction: the Link-level reference_apply
-(conftest) followed by engine.reduce_codes; engine._push on stacks of text
-pieces; and the loop over every short word against Dynnikov coordinates."""
+"""One letter of the solver's loop, engine.reduce_codes on the pieces of
+engine.twist_pieces, against an independent twist and a full reduction: the
+Link-level reference_apply (conftest) followed by engine.reduce_codes on the
+joined text; engine.reduce_codes on text cut into pieces; and the loop over
+every short word against Dynnikov coordinates."""
 
 import random
 
@@ -35,17 +36,17 @@ def step_text(text, index, sign):
     """One letter on a reduced list's text, as solver.process_word runs it.
 
     Returns (text, inserted, visited, deleted): the reduced list after the
-    letter and the counters of reduce_codes on the joined twist_pieces
-    output. _push takes the pieces as they are, so rule work is done only
-    where the twist splices. Every rule, and both InternalStateError checks,
-    decide from the pair (stack top, incoming link) alone, so `visited` and
-    `deleted` count exactly the weighings and deletions of the full scan,
-    and a malformed input is caught wherever a splice weighs it.
+    letter, the links the twist added and the counters of reduce_codes on
+    the twist_pieces output. reduce_codes takes the pieces as they are, so
+    rule work is done only where the twist splices. Every rule, and both
+    InternalStateError checks, decide from the pair (stack top, incoming
+    link) alone, so `visited` and `deleted` count exactly the weighings and
+    deletions of the full scan, and a malformed input is caught wherever a
+    splice weighs it.
     """
-    pieces, inserted = engine.twist_pieces(text, index, sign)
-    stack = []
-    visited, deleted = engine._push(stack, pieces)
-    return "".join(stack), inserted, visited, deleted
+    pieces = engine.twist_pieces(text, index, sign)
+    out, visited, deleted = engine.reduce_codes(pieces)
+    return out, sum(map(len, pieces)) - len(text), visited, deleted
 
 
 @settings(max_examples=150, deadline=None)
@@ -152,16 +153,17 @@ def cut(text, rng):
 @given(valid_gbases(), st.integers(0, 2**32))
 def test_push_onto_a_stack_of_text_pieces(gbase, salt):
     # the stack reduce_codes holds after a prefix, held as text cut into
-    # random pieces, takes the rest of the list as one-link pieces: cascades
-    # pop across the piece boundaries
+    # random pieces, then the rest of the list as one-link pieces: cascades
+    # pop across the piece boundaries, and each link of the reduced prefix
+    # is weighed once more
     rng = random.Random(salt)
     text = gbase.text
     split = rng.randint(1, len(text))
     stack, visited, deleted = engine.reduce_codes(text[:split])
-    pieces = cut(stack, rng)
-    more_visited, more_deleted = engine._push(pieces, text[split:])
-    expected = engine.reduce_codes(text)
-    assert ("".join(pieces), visited + more_visited, deleted + more_deleted) == expected
+    out, more_visited, more_deleted = engine.reduce_codes(cut(stack, rng) + list(text[split:]))
+    assert (out, visited + more_visited - len(stack), deleted + more_deleted) == (
+        engine.reduce_codes(text)
+    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -169,9 +171,7 @@ def test_push_onto_a_stack_of_text_pieces(gbase, salt):
 def test_push_keeps_a_reduced_list_in_pieces(case, salt):
     # each piece is weighed once and copied; none of its links is deleted
     text, _, _ = case
-    stack = [text[0]]
-    visited, deleted = engine._push(stack, cut(text[1:], random.Random(salt)))
-    assert ("".join(stack), visited, deleted) == (text, len(text) - 1, 0)
+    assert engine.reduce_codes(cut(text, random.Random(salt))) == (text, len(text), 0)
 
 
 @pytest.mark.parametrize(
