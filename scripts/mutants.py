@@ -63,6 +63,11 @@ MUTANTS = [
      "if False:"),
     ("suffix strip overlaps prefix", "solver.py",
      "while stop < shorter - start and", "while stop < shorter and"),
+    ("letter index n allowed", "braidword.py",
+     "<= self.strand_count - 1:", "<= self.strand_count:"),
+    ("strand counts must differ", "braidword.py",
+     "if first.strand_count != second.strand_count:",
+     "if first.strand_count == second.strand_count:"),
     ("oracle sigma^-1 conjugated on the wrong side", "oracle.py",
      "grown = _product(_product(right[::-1].translate(flip), here), right)",
      "grown = _product(_product(right, here), right[::-1].translate(flip))"),

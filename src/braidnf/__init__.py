@@ -33,7 +33,7 @@ from .gbase import (
     standard_gbase,
     validate,
 )
-from .oracle import FreeWord, oracle_equal, word_image
+from .oracle import oracle_equal, word_image
 from .solver import (
     TwistStats,
     apply_letter,
@@ -46,7 +46,6 @@ from .solver import (
 
 __all__ = [
     "BraidWord",
-    "FreeWord",
     "GBaseWord",
     "InternalStateError",
     "Letter",

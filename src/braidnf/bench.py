@@ -5,8 +5,9 @@ from __future__ import annotations
 import dataclasses
 import time
 
+from .gbase import check_strand_count
 from .prng import SplitMix64, random_word
-from .solver import TwistStats, process_word
+from .solver import process_word
 
 
 @dataclasses.dataclass(frozen=True)
@@ -27,24 +28,21 @@ class BenchRow:
 CSV_HEADER = ",".join(field.name for field in dataclasses.fields(BenchRow))
 
 
-def total_links_visited(per_letter: list[TwistStats]) -> int:
-    """Scan work across all letters, twist and reduce passes combined."""
-    return sum(s.links_visited + s.reduce_links_visited for s in per_letter)
-
-
-def peak_list_length(strand_count: int, per_letter: list[TwistStats]) -> int:
-    """Longest list ever held, including the starting standard g-base (2n + 1 links)."""
-    return max([2 * strand_count + 1] + [s.pre_reduce_length for s in per_letter])
-
-
 def bench_rows(strand_count: int, length: int, count: int, seed: int) -> list[BenchRow]:
     """Process `count` seeded random words and report one row per word.
 
     Every word gets its own letter stream, seeded from a master stream over
     `seed`; the per-word seed lands in the row, so rows are reproducible
     individually as well as in bulk. Everything except time_ns is
-    deterministic for fixed flags.
+    deterministic for fixed flags. The arguments are checked before any word
+    is drawn: the strand count as gbase.check_strand_count does, then
+    ValueError for a negative length or count or for letters over 1 strand.
     """
+    check_strand_count(strand_count)
+    if length < 0 or count < 0:
+        raise ValueError(f"bench needs length >= 0 and count >= 0, got {length} and {count}")
+    if strand_count == 1 and length > 0:
+        raise ValueError("no generators exist over 1 strand; use length 0")
     master = SplitMix64(seed)
     rows = []
     for _ in range(count):
@@ -59,8 +57,12 @@ def bench_rows(strand_count: int, length: int, count: int, seed: int) -> list[Be
                 word_length=length,
                 seed=word_seed,
                 final_list_length=len(gbase),
-                max_list_length=peak_list_length(strand_count, per_letter),
-                links_visited=total_links_visited(per_letter),
+                # the longest list held, from the standard g-base's 2n + 1 links on
+                max_list_length=max(
+                    [2 * strand_count + 1] + [s.pre_reduce_length for s in per_letter]
+                ),
+                # scan work across all letters, twist and reduce passes combined
+                links_visited=sum(s.links_visited + s.reduce_links_visited for s in per_letter),
                 time_ns=elapsed,
             )
         )

@@ -60,16 +60,8 @@ def parse_word(text: str, strand_count: int) -> BraidWord:
             raise MalformedWordError(
                 f"token of {len(token)} characters starting {token[:10]!r}: too many digits"
             ) from None
-        if value == 0:
-            raise MalformedWordError(f"token {token!r}: generator index must be nonzero")
-        index, sign = (value, 1) if value > 0 else (-value, -1)
-        if index > strand_count - 1:
-            raise MalformedWordError(
-                f"token {token!r}: index {index} exceeds {strand_count - 1} "
-                f"(strand count {strand_count})"
-            )
-        letters.append(Letter(index, sign))
-    return BraidWord(strand_count, tuple(letters))
+        letters.append(Letter(abs(value), 1 if value > 0 else -1))
+    return BraidWord(strand_count, tuple(letters))  # checks each letter's index
 
 
 def format_word(word: BraidWord) -> str:
@@ -82,11 +74,16 @@ def inverse(word: BraidWord) -> BraidWord:
     return BraidWord(word.strand_count, tuple(l.inverse() for l in reversed(word.letters)))
 
 
-def concat(first: BraidWord, second: BraidWord) -> BraidWord:
+def check_same_strands(first: BraidWord, second: BraidWord) -> None:
+    """Raise MalformedWordError unless both words are over one strand count."""
     if first.strand_count != second.strand_count:
         raise MalformedWordError(
-            f"cannot concatenate words over {first.strand_count} and {second.strand_count} strands"
+            f"cannot combine words over {first.strand_count} and {second.strand_count} strands"
         )
+
+
+def concat(first: BraidWord, second: BraidWord) -> BraidWord:
+    check_same_strands(first, second)
     return BraidWord(first.strand_count, first.letters + second.letters)
 
 

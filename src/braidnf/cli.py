@@ -14,7 +14,7 @@ from typing import Iterator
 
 from .bench import CSV_HEADER, bench_rows
 from .braidword import parse_word
-from .errors import MalformedGBaseError, MalformedWordError, ResourceLimitError
+from .errors import MalformedWordError, ResourceLimitError
 from .gbase import format_gbase
 from .oracle import oracle_equal
 from .solver import is_identity, normal_form, words_equal
@@ -68,10 +68,6 @@ def _batch_words(args: argparse.Namespace) -> Iterator[str]:
 
 def _run(args: argparse.Namespace) -> int:
     if args.command == "bench":
-        if args.strands < 1 or args.length < 0 or args.count < 0:
-            raise ValueError("bench needs --strands >= 1, --length >= 0, --count >= 0")
-        if args.strands == 1 and args.length > 0:
-            raise ValueError("no generators exist over 1 strand; use --length 0")
         rows = bench_rows(args.strands, args.length, args.count, args.seed)
         print(CSV_HEADER)
         for row in rows:
@@ -102,8 +98,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (MalformedWordError, MalformedGBaseError, ResourceLimitError,
-            ValueError, OSError) as error:
+    except (ResourceLimitError, ValueError, OSError) as error:
         print(f"braidnf: error: {error}", file=sys.stderr)
         return 2
 

@@ -25,10 +25,9 @@ ResourceLimitError instead of thrashing.
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 
-from .braidword import BraidWord
+from .braidword import BraidWord, check_same_strands
 from .errors import ResourceLimitError
 
 Syllable = tuple[int, int]  # (generator 1..n, exponent +1 or -1)
@@ -37,21 +36,6 @@ DEFAULT_MAX_SYLLABLES = 1_000_000
 
 # _images holds a syllable as one character, and x_n^-1 is chr(2n + 1)
 MAX_STRANDS = (sys.maxunicode - 1) // 2
-
-
-@dataclasses.dataclass(frozen=True)
-class FreeWord:
-    syllables: tuple[Syllable, ...]
-
-    def __post_init__(self):
-        for k, (gen, exp) in enumerate(self.syllables):
-            if gen < 1 or exp not in (1, -1):
-                raise ValueError(f"syllable {k}: bad (generator, exponent) {(gen, exp)}")
-            if k and self.syllables[k - 1] == (gen, -exp):
-                raise ValueError(f"syllable {k}: word is not freely reduced")
-
-    def __len__(self) -> int:
-        return len(self.syllables)
 
 
 def _product(first: str, second: str) -> str:
@@ -112,8 +96,8 @@ def _images(word: BraidWord, max_syllables: int) -> list[str]:
 
 def word_image(
     word: BraidWord, gen: int, max_syllables: int = DEFAULT_MAX_SYLLABLES
-) -> FreeWord:
-    """Image of x_gen under the whole word, freely reduced.
+) -> tuple[Syllable, ...]:
+    """Image of x_gen under the whole word, freely reduced, as its syllables.
 
     The letters act left to right: the image of x_gen under the first letter
     is rewritten through the second, and so on. It is computed, with the
@@ -124,16 +108,13 @@ def word_image(
     if not 1 <= gen <= word.strand_count:
         raise ValueError(f"generator {gen} out of range for {word.strand_count} strands")
     image = _images(word, max_syllables)[gen - 1]
-    return FreeWord(tuple((c >> 1, -1 if c & 1 else 1) for c in map(ord, image)))
+    return tuple((c >> 1, -1 if c & 1 else 1) for c in map(ord, image))
 
 
 def oracle_equal(
     first: BraidWord, second: BraidWord, max_syllables: int = DEFAULT_MAX_SYLLABLES
 ) -> bool:
-    """True iff both words act identically on every free-group generator."""
-    if first.strand_count != second.strand_count:
-        raise ValueError(
-            f"cannot compare words over {first.strand_count} and "
-            f"{second.strand_count} strands"
-        )
+    """True iff both words act identically on every free-group generator;
+    mismatched strand counts raise MalformedWordError."""
+    check_same_strands(first, second)
     return _images(first, max_syllables) == _images(second, max_syllables)

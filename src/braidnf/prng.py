@@ -43,10 +43,9 @@ class SplitMix64:
 
 
 def random_word(strand_count: int, length: int, stream: SplitMix64) -> BraidWord:
-    """Uniform word of the given length over the 2(n-1) signed generators."""
+    """Uniform word of the given length over the 2(n-1) signed generators;
+    next_below refuses a draw over 1 strand, which has none."""
     choices = 2 * (strand_count - 1)
-    if length > 0 and choices == 0:
-        raise ValueError("no generators exist over 1 strand")
     letters = []
     for _ in range(length):
         draw = stream.next_below(choices)

@@ -26,7 +26,7 @@ import dataclasses
 from typing import Sequence
 
 from . import engine
-from .braidword import BraidWord, Letter, permutation_of_word
+from .braidword import BraidWord, Letter, check_same_strands, permutation_of_word
 from .errors import InternalStateError
 from .gbase import GBaseWord, check_strand_count, require_valid, standard_gbase
 
@@ -144,7 +144,7 @@ def normal_form(word: BraidWord) -> GBaseWord:
 def words_equal(first: BraidWord, second: BraidWord) -> bool:
     """Decide equality in the braid group by comparing normal forms.
 
-    Mismatched strand counts raise ValueError, and more than
+    Mismatched strand counts raise MalformedWordError, and more than
     gbase.MAX_TEXT_STRANDS strands raise ResourceLimitError, before anything
     else. Then a pre-pass applies group laws only, so it cannot change the
     verdict:
@@ -158,11 +158,7 @@ def words_equal(first: BraidWord, second: BraidWord) -> bool:
        their letters where they stand, so an InternalStateError names the
        letter's index in first or second.
     """
-    if first.strand_count != second.strand_count:
-        raise ValueError(
-            f"cannot compare words over {first.strand_count} and "
-            f"{second.strand_count} strands"
-        )
+    check_same_strands(first, second)
     check_strand_count(first.strand_count)
     if permutation_of_word(first) != permutation_of_word(second):
         return False

@@ -15,6 +15,8 @@ from braidnf.braidword import (
     permutation_of_word,
 )
 from braidnf.errors import MalformedWordError
+from braidnf.oracle import oracle_equal
+from braidnf.solver import words_equal
 
 from conftest import braid_words, word_from_ints
 
@@ -86,6 +88,12 @@ def test_constructor_rejects_out_of_range_letters():
         BraidWord(3, (Letter(3, 1),))
     with pytest.raises(MalformedWordError):
         BraidWord(2, (Letter(1, 2),))
+
+
+@pytest.mark.parametrize("combine", [words_equal, oracle_equal, concat])
+def test_mismatched_strand_counts_are_refused(combine):
+    with pytest.raises(MalformedWordError, match="over 2 and 3 strands"):
+        combine(parse_word("1", 2), parse_word("1", 3))
 
 
 def brute_permutation(word: BraidWord) -> tuple[int, ...]:

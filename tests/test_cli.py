@@ -4,7 +4,9 @@ import pytest
 
 from braidnf import cli
 from braidnf.braidword import parse_word
+from braidnf.bench import bench_rows
 from braidnf.cli import main
+from braidnf.errors import MalformedWordError, ResourceLimitError
 from braidnf.gbase import MAX_TEXT_STRANDS, format_gbase
 from braidnf.solver import process_word
 
@@ -32,6 +34,16 @@ def test_normal_form_bad_index_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize("text, n", [("0", 3), ("3", 3), ("-3", 3), ("1", 1)])
+def test_letter_out_of_range_is_refused(text, n, capsys):
+    with pytest.raises(MalformedWordError, match="out of range"):
+        parse_word(text, n)
+    for argv in (["normal-form", text], ["equal", text, ""], ["identity", text]):
+        code, out, err = run(capsys, argv[0], "--strands", str(n), *argv[1:])
+        assert (code, out) == (2, "")
+        assert f"generator index {text.lstrip('-')} out of range for {n} strands" in err
 
 
 def test_equal_true_exits_0(capsys):
@@ -194,3 +206,14 @@ def test_bench_rejects_bad_flags(capsys):
     code, out, err = run(capsys, "bench", "--strands", str(MAX_TEXT_STRANDS + 1), "--length",
                          "0", "--count", "1", "--seed", "1")
     assert (code, out) == (2, "")
+
+
+def test_bench_checks_its_flags_before_drawing(capsys):
+    assert 400000 > MAX_TEXT_STRANDS
+    for strands, length in (("400000", "0"), ("1", "4")):
+        code, out, err = run(capsys, "bench", "--strands", strands, "--length", length,
+                             "--count", "0", "--seed", "1")
+        assert (code, out) == (2, "")
+    # scripts/doubling_experiment.py calls bench_rows directly
+    with pytest.raises(ResourceLimitError, match="strand count 400000 exceeds"):
+        bench_rows(400000, 0, 0, 1)

@@ -89,6 +89,23 @@ def test_is_identity_examples():
     assert not oracle_equal(commutator, parse_word("", 3))  # nontrivial indeed
 
 
+def test_sigma1_positive_pure_words_are_not_trivial():
+    # Dehornoy's property A: a sigma-positive braid is never trivial. Blocks
+    # v sigma_1^2 v^-1, v over sigma_2..sigma_{n-1}, make a pure word, so
+    # is_identity passes the permutation test and must decide on the g-base
+    rng = random.Random(20261020)
+    for n, length in ((3, 32), (8, 48), (20, 96), (80, 128)):
+        for _ in range(10):
+            values = []
+            while length - len(values) >= 2:
+                k = rng.randint(0, min(4, (length - len(values) - 2) // 2))
+                v = [rng.randint(2, n - 1) * rng.choice((1, -1)) for _ in range(k)]
+                values += v + [1, 1] + [-g for g in reversed(v)]
+            word = word_from_ints(n, values)
+            assert permutation_of_word(word) == tuple(range(1, n + 1))
+            assert is_identity(word) is False, values
+
+
 def test_process_word_is_deterministic():
     word = word_from_ints(5, [1, -3, 2, 2, -1, 4, -2])
     first = process_word(word)
