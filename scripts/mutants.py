@@ -53,6 +53,12 @@ MUTANTS = [
      "dict.fromkeys(left, pre_left[::-1]), pre_right)"),
     ("detach link (q,-1) dropped", "engine.py",
      "= below + text((q, -1))", "= below"),
+    ("block key without the link after the run", "engine.py",
+     "key = parts[p - 1][-1], parts[p], parts[p + 1][0]",
+     "key = parts[p - 1][-1], parts[p]"),
+    ("block key without the link before the run", "engine.py",
+     "key = parts[p - 1][-1], parts[p], parts[p + 1][0]",
+     "key = parts[p], parts[p + 1][0]"),
     ("inserts not conserved", "solver.py",
      "len(text) + deleted - length", "len(text) - length"),
     ("_reduced across a neighbour", "solver.py",

@@ -16,18 +16,19 @@ Handy consequences, used throughout:
                                    (point reflects across i, i+1; position
                                    flips sign; one subtraction does both)
 
-The engine is two calls. twist_pieces(text, index, sign) applies one
+The engine is three calls. twist_pieces(text, index, sign) applies one
 half-twist and returns the output as pieces with no reducible pair inside;
 it reads every rule of the letter (the run pattern, the rotation, the
 detach links and the connectors) from one cached table of text,
-_twist_rules(index, sign), so its inner loop does only lookups and slices.
+_twist_rules(index, sign), and rewrites each run with _twist_run.
 reduce_codes(pieces) reduces onto its own stack of str pieces: a piece is
 weighed only until one of its links is pushed, and the rest is copied as a
-slice; a whole text is one-link pieces. One letter of solver.process_word
-is reduce_codes(twist_pieces(text, index, sign)). These functions trust
-their input: that loop starts from the standard g-base and feeds each
-reduced output back in, and solver.apply_letter and solver.reduce call
-require_valid first. Their counters fill solver.TwistStats. A code is a
+slice; a whole text is one-link pieces. step(text, index, sign), one letter
+of solver.process_word, returns reduce_codes(twist_pieces(text, index,
+sign)) but reduces each distinct run block only once per call. These
+functions trust their input: that loop starts from the standard g-base and
+feeds each reduced output back in, and solver.apply_letter and solver.reduce
+call require_valid first. Their counters fill solver.TwistStats. A code is a
 character only up to sys.maxunicode, which gbase.MAX_TEXT_STRANDS
 guarantees.
 """
@@ -219,27 +220,65 @@ def twist_pieces(text: str, index: int, sign: int) -> list[str]:
         run's first link, which no rule matches);
       * a connector's two links are +-1 passes at distinct points.
     """
-    pattern, rotation, detach, pre, pre_right, post, post_right = _twist_rules(index, sign)
-    separator = chr(SEPARATOR_CODE)
-
-    parts = pattern.split(text)  # gap, run, gap, ..., run, gap
+    rules = _twist_rules(index, sign)
+    parts = rules[0].split(text)  # gap, run, gap, ..., run, gap
     pieces = [parts[0]]
     for p in range(1, len(parts), 2):
-        run, gap = parts[p], parts[p + 1]
-        before = parts[p - 1][-1]
-        if before == separator:
-            key = run[0] + (run[1] if len(run) > 1 else gap[0])
-            added = detach.get(key)
-            if added is None:
-                raise InternalStateError(
-                    f"link {sum(map(len, parts[:p]))}: run after a separator starts "
-                    f"{code_link(ord(key[0]))} -> {code_link(ord(key[1]))}, "
-                    f"which no detachment case covers"
-                )
-            before = added[0]
-            pieces.append(before)
-            run = added[1:] + run  # rotated with the run
-        pieces += (pre.get(before, pre_right), run.translate(rotation),
-                   post.get(gap[0], post_right), gap)
+        pieces += (*_twist_run(rules, parts, p), parts[p + 1])
     return pieces
 
+
+def _twist_run(rules: tuple, parts: list[str], p: int) -> list[str]:
+    """The pieces that replace the run parts[p] of a split list: its detach
+    link after a separator, the pre connector, the run rotated, the post one."""
+    _, rotation, detach, pre, pre_right, post, post_right = rules
+    before, run, after = parts[p - 1][-1], parts[p], parts[p + 1][0]
+    pieces = []
+    if before == chr(SEPARATOR_CODE):
+        key = run[0] + (run[1] if len(run) > 1 else after)
+        added = detach.get(key)
+        if added is None:
+            raise InternalStateError(
+                f"link {sum(map(len, parts[:p]))}: run after a separator starts "
+                f"{code_link(ord(key[0]))} -> {code_link(ord(key[1]))}, "
+                f"which no detachment case covers"
+            )
+        before = added[0]
+        pieces.append(before)
+        run = added[1:] + run  # rotated with the run
+    pieces += (pre.get(before, pre_right), run.translate(rotation), post.get(after, post_right))
+    return pieces
+
+
+def step(text: str, index: int, sign: int) -> tuple[str, int, int]:
+    """reduce_codes(twist_pieces(text, index, sign)), text and counters,
+    with each distinct run block reduced once, in a dict local to the call.
+
+    A block, one run's pieces (_twist_run), is fixed by the link before the
+    run, the run and the link after it. It reduces on its own as in the
+    whole letter: its links lie at points i and i+1 and the links around it
+    outside; the one before is no endpoint (a reduced list follows one with
+    the separator), and the block ends in an endpoint only if the one after
+    is the separator, so no rule pairs a block link with either. A block
+    after a separator is reduced behind it, which no rule deletes or reaches
+    past. A block that reduces to nothing would bring its two neighbours
+    together, so then the whole letter is reduced instead.
+    """
+    rules = _twist_rules(index, sign)
+    parts = rules[0].split(text)
+    blocks: dict[tuple[str, str, str], tuple[str, int, int]] = {}
+    out = [parts[0]]
+    visited, deleted = len(text), 0  # each input link once; blocks add inserts, retries
+    for p in range(1, len(parts), 2):
+        key = parts[p - 1][-1], parts[p], parts[p + 1][0]
+        block = blocks.get(key)
+        if block is None:
+            lead = chr(SEPARATOR_CODE) if parts[p - 1][-1] == chr(SEPARATOR_CODE) else ""
+            reduced, seen, gone = reduce_codes([lead, *_twist_run(rules, parts, p)])
+            if len(reduced) == len(lead):
+                return reduce_codes(twist_pieces(text, index, sign))
+            block = blocks[key] = reduced[len(lead):], seen - len(lead) - len(parts[p]), gone
+        out += (block[0], parts[p + 1])
+        visited += block[1]
+        deleted += block[2]
+    return "".join(out), visited, deleted

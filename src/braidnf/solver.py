@@ -2,13 +2,13 @@
 
 A word acts on the standard g-base letter by letter, in one loop
 (process_word) that normal_form and words_equal also run. Each letter is
-engine.reduce_codes(engine.twist_pieces(text, index, sign)), so the list
-the next letter sees is always in normal form; the reduction works only
-where the twist spliced. Two words over the same strand count are equal
-exactly when their final lists are identical link by link. GBaseWord values
-appear only at the ends. apply_letter runs the same twist without the
-reduction, and reduce the reduction alone, each on a GBaseWord's text after
-checking it.
+engine.step(text, index, sign), the reduction of the twist's pieces, so the
+list the next letter sees is always in normal form; the reduction works
+only where the twist spliced, once per distinct run block. Two words over
+the same strand count are equal exactly when their final lists are
+identical link by link. GBaseWord values appear only at the ends.
+apply_letter runs the same twist without the reduction, and reduce the
+reduction alone, each on a GBaseWord's text after checking it.
 
 The loop can take the positions of the letters to apply, so every caller
 hands it the word it was given: normal_form the positions left by
@@ -81,9 +81,9 @@ def process_word(
     counters plus the reduce counters of the normalization that followed).
     More than gbase.MAX_TEXT_STRANDS strands raise ResourceLimitError.
 
-    This is the loop every word-level function runs. Each letter reduces
-    the twisted pieces, engine.reduce_codes(engine.twist_pieces(...)), so
-    the next letter sees the normal form. The reduction weighs only where
+    This is the loop every word-level function runs. Each letter is
+    engine.step, which returns engine.reduce_codes(engine.twist_pieces(...)),
+    so the next letter sees the normal form. The reduction weighs only where
     the twist spliced, with the counters of a full scan. The inserts follow
     by conservation: the pieces hold the input's links plus the inserts,
     and the reduced text is that minus the deletions. normal_form and
@@ -97,7 +97,7 @@ def process_word(
         index, sign = word.letters[k]
         length = len(text)
         try:
-            text, visited, deleted = engine.reduce_codes(engine.twist_pieces(text, index, sign))
+            text, visited, deleted = engine.step(text, index, sign)
         except InternalStateError as error:
             raise InternalStateError(f"letter {k} ({index * sign}): {error}") from error
         per_letter.append(TwistStats(length, len(text) + deleted - length, visited, deleted))

@@ -165,28 +165,28 @@ def test_agrees_with_free_group_action(word, salt):
     assert words_equal(word, other) == oracle_equal(word, other)
 
 
-def reduce_failing_on_call(monkeypatch, failing):
-    """Make engine.reduce_codes raise on its `failing`-th call, one call per letter."""
-    real_reduce = engine.reduce_codes
+def step_failing_on_call(monkeypatch, failing):
+    """Make engine.step raise on its `failing`-th call, one call per letter."""
+    real_step = engine.step
     calls = []
 
-    def reduce_codes(pieces):
+    def step(text, index, sign):
         calls.append(None)
         if len(calls) == failing:
             raise InternalStateError("broken invariant")
-        return real_reduce(pieces)
+        return real_step(text, index, sign)
 
-    monkeypatch.setattr(engine, "reduce_codes", reduce_codes)
+    monkeypatch.setattr(engine, "step", step)
 
 
 def test_internal_error_names_the_letter(monkeypatch):
-    reduce_failing_on_call(monkeypatch, 4)
+    step_failing_on_call(monkeypatch, 4)
     with pytest.raises(InternalStateError, match=r"^letter 3 \(-2\): broken invariant$"):
         process_word(parse_word("1 2 -1 -2 1", 3))
 
 
 def test_normal_form_names_the_letter_of_the_input_word(monkeypatch):
-    reduce_failing_on_call(monkeypatch, 2)
+    step_failing_on_call(monkeypatch, 2)
     # 1 and -1 cancel across 3, so the second letter stepped is input letter 3
     with pytest.raises(InternalStateError, match=r"^letter 3 \(2\): broken invariant$") as info:
         normal_form(parse_word("1 3 -1 2 2", 4))
@@ -194,7 +194,7 @@ def test_normal_form_names_the_letter_of_the_input_word(monkeypatch):
 
 
 def test_words_equal_names_the_letter_of_the_input_word(monkeypatch):
-    reduce_failing_on_call(monkeypatch, 2)
+    step_failing_on_call(monkeypatch, 2)
     # 1 and -1 cancel across 3 in the first word, and the common prefix 3 3
     # goes, so the remainders are 2 2 (first letters 4, 5) and -2 -2; the
     # second letter stepped is letter 5 of the first word, not letter 1 of

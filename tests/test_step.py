@@ -2,7 +2,9 @@
 engine.twist_pieces, against an independent twist and a full reduction: the
 Link-level reference_apply (conftest) followed by engine.reduce_codes on the
 joined text; engine.reduce_codes on text cut into pieces; and the loop over
-every short word against Dynnikov coordinates."""
+every short word against Dynnikov coordinates. engine.step, which the loop
+runs, must give that letter exactly, text and counters, on all of these
+lists and on long ones where run blocks repeat."""
 
 import random
 
@@ -25,6 +27,7 @@ from braidnf.solver import TwistStats, process_word
 from conftest import (
     braid_words,
     dynnikov_step,
+    random_valid_gbase,
     reference_apply,
     text_of,
     valid_gbases,
@@ -59,8 +62,81 @@ def test_step_text_is_the_solver_loop(word):
     for index, sign in word.letters:
         previous = text
         text, inserted, visited, deleted = step_text(text, index, sign)
+        assert engine.step(previous, index, sign) == (text, visited, deleted)
         steps.append(TwistStats(len(previous), inserted, visited, deleted))
     assert (gbase.text, per_letter) == (text, steps)
+
+
+def test_step_reduces_repeated_blocks_once():
+    # long n=4 lists, where one run between the same two links recurs many
+    # times in a letter: the blocks engine.step copies give the whole
+    # letter's text and counters
+    rng = random.Random(25)
+    repeats = 0
+    for _ in range(3):
+        text = standard_gbase(4).text
+        for _ in range(48):
+            index, sign = rng.randint(1, 3), rng.choice((1, -1))
+            parts = engine._twist_rules(index, sign)[0].split(text)
+            keys = [(parts[p - 1][-1], parts[p], parts[p + 1][0]) for p in range(1, len(parts), 2)]
+            repeats += len(keys) - len(set(keys))
+            out, _, visited, deleted = step_text(text, index, sign)
+            assert engine.step(text, index, sign) == (out, visited, deleted)
+            text = out
+    assert repeats > 10_000
+
+
+def test_step_is_the_letter_on_any_reduced_list():
+    # reduced lists that no word need reach: the links beside a run may lie
+    # at any point, so a block's post connector and detach link depend on
+    # the link after the run as well as on the run. step must give the
+    # letter's text and counters, or raise what twist_pieces raises when no
+    # detach case covers a run start
+    outcomes = []
+    for seed in range(400):
+        gbase = random_valid_gbase(random.Random(seed))
+        text = engine.reduce_codes(gbase.text)[0]
+        for index in range(1, gbase.strand_count):
+            for sign in (1, -1):
+                try:
+                    out, _, visited, deleted = step_text(text, index, sign)
+                except InternalStateError as error:
+                    with pytest.raises(InternalStateError) as raised:
+                        engine.step(text, index, sign)
+                    assert str(raised.value) == str(error)
+                    outcomes.append("raised")
+                else:
+                    assert engine.step(text, index, sign) == (out, visited, deleted)
+                    outcomes.append("stepped")
+    assert min(outcomes.count("raised"), outcomes.count("stepped")) > 500
+
+
+@pytest.mark.parametrize(
+    "values, lead",
+    # at index 1 the first run of the list of sigma_1 follows a separator,
+    # that of sigma_1 sigma_2 the link (3,1)
+    [([1], "\x01"), ([1, 2], "")],
+    ids=["separator-led", "link-led"],
+)
+def test_step_reduces_the_whole_letter_when_a_block_vanishes(monkeypatch, values, lead):
+    # no list that a word reaches has shown a block that reduces to nothing
+    # (CHANGES.md gives the search), so the first block is made to:
+    # reduce_codes hands back only the separator that leads it, if any. step
+    # must then reduce the whole letter's pieces, in one more call
+    text = process_word(word_from_ints(3, values))[0].text
+    expected = {sign: step_text(text, 1, sign) for sign in (1, -1)}
+    real_reduce, calls = engine.reduce_codes, []
+
+    def reduce_codes(pieces):
+        calls.append(list(pieces))
+        return (pieces[0], 0, 0) if len(calls) == 1 else real_reduce(pieces)
+
+    monkeypatch.setattr(engine, "reduce_codes", reduce_codes)
+    for sign, (out, _, visited, deleted) in expected.items():
+        calls.clear()
+        assert engine.step(text, 1, sign) == (out, visited, deleted)
+        assert calls[0][0] == lead
+        assert calls[1:] == [engine.twist_pieces(text, 1, sign)]
 
 
 def two_pass(n, text, index, sign):
@@ -198,5 +274,6 @@ def test_prefix_tree_agrees_with_dynnikov(n, depth, freely_reduced):
             continue
         for letter in inverse:
             if not (freely_reduced and letters and letters[-1] == inverse[letter]):
-                child = step_text(text, *letter)[0], dynnikov_step(coords, *letter)
-                nodes.append((*child, letters + (letter,)))
+                out, _, visited, deleted = step_text(text, *letter)
+                assert engine.step(text, *letter) == (out, visited, deleted), letters
+                nodes.append((out, dynnikov_step(coords, *letter), letters + (letter,)))
