@@ -35,8 +35,8 @@ MUTANTS = [
      "while position != 1 and code == top - position + 1:",
      "if position != 1 and code == top - position + 1:"),
     ("R2 retries not counted", "engine.py",
-     "sum(map(len, pieces)) + near_passes, deleted",
-     "sum(map(len, pieces)), deleted"),
+     "len(text) + near_passes, deleted",
+     "len(text), deleted"),
     ("R3 after a separator", "engine.py",
      "elif position == 1 and top != SEPARATOR_CODE and code != SEPARATOR_CODE:",
      "elif position == 1 and code != SEPARATOR_CODE:"),

@@ -57,11 +57,14 @@ def bench_rows(strand_count: int, length: int, count: int, seed: int) -> list[Be
                 word_length=length,
                 seed=word_seed,
                 final_list_length=len(gbase),
-                # the longest list held, from the standard g-base's 2n + 1 links on
+                # the longest list the whole-letter scan holds, the unreduced
+                # twist output, from the standard g-base's 2n + 1 links on;
+                # step builds that output only on its fallback
                 max_list_length=max(
                     [2 * strand_count + 1] + [s.pre_reduce_length for s in per_letter]
                 ),
-                # scan work across all letters, twist and reduce passes combined
+                # that scan's work across all letters: the input lengths plus
+                # the reduce weighings, which step reproduces exactly
                 links_visited=sum(s.links_visited + s.reduce_links_visited for s in per_letter),
                 time_ns=elapsed,
             )

@@ -16,36 +16,33 @@ Handy consequences, used throughout:
                                    (point reflects across i, i+1; position
                                    flips sign; one subtraction does both)
 
-The engine is three calls. twist_pieces(text, index, sign) applies one
-half-twist and returns the output as pieces with no reducible pair inside;
-it reads every rule of the letter (the run pattern, the rotation, the
-detach links and the connectors) from one cached table of text,
-_twist_rules(index, sign), and rewrites each run with _twist_run.
-reduce_codes(pieces) reduces onto its own stack of str pieces: a piece is
-weighed only until one of its links is pushed, and the rest is copied as a
-slice; a whole text is one-link pieces. step(text, index, sign), one letter
-of solver.process_word, returns reduce_codes(twist_pieces(text, index,
-sign)) but reduces each distinct run block only once per call. These
-functions trust their input: that loop starts from the standard g-base and
-feeds each reduced output back in, and solver.apply_letter and solver.reduce
-call require_valid first. Their counters fill solver.TwistStats. A code is a
-character only up to sys.maxunicode, which gbase.MAX_TEXT_STRANDS
-guarantees.
+The engine is three calls, each taking and returning text. twist(text,
+index, sign) applies one half-twist and returns the unreduced output; it
+reads every rule of the letter (the run pattern, the rotation, the detach
+links and the connectors) from one cached table of text, _twist_rules(index,
+sign), and rewrites each run with _twist_run. reduce_codes(text) weighs the
+links one by one onto a stack of characters. step(text, index, sign), one
+letter of solver.process_word, returns reduce_codes(twist(text, index,
+sign)) but reduces only each distinct run block, once per call, and copies
+the gaps between runs unweighed. These functions trust their input: that
+loop starts from the standard g-base and feeds each reduced output back in,
+and solver.apply_letter and solver.reduce call require_valid first. Their
+counters fill solver.TwistStats. A code is a character only up to
+sys.maxunicode, which gbase.MAX_TEXT_STRANDS guarantees.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from typing import Sequence
 
 from .errors import InternalStateError
 from .gbase import SEPARATOR_CODE, code_link, link_code
 
 
-def reduce_codes(pieces: Sequence[str]) -> tuple[str, int, int]:
-    """Run the four deletion rules to fixpoint on pieces of chr(code) links,
-    read in order; returns (text, visited, deleted).
+def reduce_codes(text: str) -> tuple[str, int, int]:
+    """Run the four deletion rules to fixpoint on a text of chr(code) links;
+    returns (text, visited, deleted).
 
     Each rule is a homotopy of the encoded paths:
 
@@ -59,27 +56,17 @@ def reduce_codes(pieces: Sequence[str]) -> tuple[str, int, int]:
           the basepoint may always start with the straight segment instead.
 
     The scan is a single left-to-right pass over a growing output stack of
-    str pieces: each incoming link is weighed against the stack top with the
-    rules in the order above, retrying after every R2 pop, so every newly
-    adjacent pair is re-examined before anything else happens. One step of
-    retrace is enough and each link is handled at most twice, which keeps
-    the work linear. Separators and endpoint links are never deleted, R1
-    refuses position-0 links outright, and no rule matches across a
-    separator. The fixpoint is the same whatever order the rules are applied
-    in (the test suite checks this against a randomized applier), which is
-    what makes list equality decide braid-word equality.
-
-    Every piece must be internally reduced: no two adjacent links of it may
-    match a rule, as one-link pieces such as a str's characters are. So a
-    piece's links are weighed one at a time only until one is pushed; each
-    later link would meet its own predecessor on top and be pushed after one
-    weighing, so the rest of the piece is appended as one slice. Every rule
-    and both InternalStateError checks decide from the pair (stack top,
-    incoming link) alone, so the counters are those of the link-by-link
-    scan: `visited` counts each link once, plus once more after each R2 pop
-    it causes, and `deleted` the links dropped. A pop shortens the top
-    piece, or removes it once empty; empty pieces hold no links and change
-    nothing.
+    characters: each incoming link is weighed against the stack top with
+    the rules in the order above, retrying after every R2 pop, so every
+    newly adjacent pair is re-examined before anything else happens. One
+    step of retrace is enough and each link is handled at most twice, which
+    keeps the work linear: `visited` counts each link once, plus once more
+    after each R2 pop it causes, and `deleted` the links dropped. Separators
+    and endpoint links are never deleted, R1 refuses position-0 links
+    outright, and no rule matches across a separator. The fixpoint is the
+    same whatever order the rules are applied in (the test suite checks this
+    against a randomized applier), which is what makes list equality decide
+    braid-word equality.
     """
     stack: list[str] = []
     # -1 stands for the top of an empty stack: no code is -1 and no rule
@@ -87,48 +74,37 @@ def reduce_codes(pieces: Sequence[str]) -> tuple[str, int, int]:
     top = -1
     near_passes = 0  # R2 deletions
     deleted = 0  # the others
-    for piece in pieces:
-        k = 0  # links of the piece weighed and deleted so far
-        for char in piece:
-            code = ord(char)
+    for char in text:
+        code = ord(char)
+        position = top % 3
+        # R2 and R1 never both match, so R2's retries may come first
+        while position != 1 and code == top - position + 1:  # R2
+            stack.pop()
+            top = ord(stack[-1]) if stack else -1
             position = top % 3
-            # R2 and R1 never both match, so R2's retries may come first
-            while position != 1 and code == top - position + 1:  # R2
-                top = _pop(stack)
-                position = top % 3
-                near_passes += 1  # the endpoint may cancel further near-passes
-            if top == code:  # R1: equal pair vanishes
-                if position == 1:
-                    raise InternalStateError(
-                        f"adjacent equal position-0 links {code_link(top)} "
-                        f"at output offset {sum(map(len, stack))}"
-                    )
-                top = _pop(stack)
-                deleted += 2
-            elif position == 1 and top != SEPARATOR_CODE and code != SEPARATOR_CODE:
-                if code % 3 == 1:  # R3 must never swallow an endpoint
-                    raise InternalStateError(
-                        f"position-0 link {code_link(code)} in endpoint debris "
-                        f"at output offset {sum(map(len, stack))}"
-                    )
-                deleted += 1
-            elif top == SEPARATOR_CODE and code % 3 == 0:  # R4
-                deleted += 1
-            else:
-                stack.append(piece[k:])
-                top = ord(piece[-1])
-                break
-            k += 1
-    return "".join(stack), sum(map(len, pieces)) + near_passes, deleted + near_passes
-
-
-def _pop(stack: list[str]) -> int:
-    """Drop the top link of a stack of non-empty pieces; returns the new top."""
-    piece = stack.pop()
-    if len(piece) > 1:
-        stack.append(piece[:-1])
-        return ord(piece[-2])
-    return ord(stack[-1][-1]) if stack else -1
+            near_passes += 1  # the endpoint may cancel further near-passes
+        if top == code:  # R1: equal pair vanishes
+            if position == 1:
+                raise InternalStateError(
+                    f"adjacent equal position-0 links {code_link(top)} "
+                    f"at output offset {len(stack)}"
+                )
+            stack.pop()
+            top = ord(stack[-1]) if stack else -1
+            deleted += 2
+        elif position == 1 and top != SEPARATOR_CODE and code != SEPARATOR_CODE:
+            if code % 3 == 1:  # R3 must never swallow an endpoint
+                raise InternalStateError(
+                    f"position-0 link {code_link(code)} in endpoint debris "
+                    f"at output offset {len(stack)}"
+                )
+            deleted += 1
+        elif top == SEPARATOR_CODE and code % 3 == 0:  # R4
+            deleted += 1
+        else:
+            stack.append(char)
+            top = code
+    return "".join(stack), len(text) + near_passes, deleted + near_passes
 
 
 @functools.lru_cache(maxsize=2048)
@@ -179,9 +155,9 @@ def _twist_rules(index: int, sign: int) -> tuple[
             dict.fromkeys(left, pre_left[::-1]), pre_right[::-1])
 
 
-def twist_pieces(text: str, index: int, sign: int) -> list[str]:
-    """Apply one half-twist to a reduced list's text; returns the
-    unreduced output, cut into pieces.
+def twist(text: str, index: int, sign: int) -> str:
+    """Apply one half-twist to a reduced list's text; returns the unreduced
+    output's text.
 
     The generator with index i acts as a half-twist that rotates a small disk
     around punctures i and i+1 by 180 degrees (positively or negatively). On
@@ -206,34 +182,21 @@ def twist_pieces(text: str, index: int, sign: int) -> list[str]:
          above when it lies to its right (mirrored for a negative twist).
 
     Runs are located against the input list, so links inserted for one run
-    are never re-twisted. Steps 1 and 3 are the only inserts, so the pieces
-    hold the input's links plus those.
-
-    The pieces are the gaps and, for each run, its detach link if any, its
-    two connectors and the run rotated. Each is internally reduced, which
-    is what lets reduce_codes copy it as a slice:
-
-      * a gap is a slice of the reduced input;
-      * the rotation maps each rule's pattern to itself, and a run holds no
-        separator, so a rotated run is as reduced as the run was (a detach
-        link that joins the run is the opposite pass at the point of the
-        run's first link, which no rule matches);
-      * a connector's two links are +-1 passes at distinct points.
+    are never re-twisted. Steps 1 and 3 are the only inserts, so the output
+    holds the input's links plus those.
     """
     rules = _twist_rules(index, sign)
     parts = rules[0].split(text)  # gap, run, gap, ..., run, gap
-    pieces = [parts[0]]
-    for p in range(1, len(parts), 2):
-        pieces += (*_twist_run(rules, parts, p), parts[p + 1])
-    return pieces
+    parts[1::2] = [_twist_run(rules, parts, p) for p in range(1, len(parts), 2)]
+    return "".join(parts)
 
 
-def _twist_run(rules: tuple, parts: list[str], p: int) -> list[str]:
-    """The pieces that replace the run parts[p] of a split list: its detach
+def _twist_run(rules: tuple, parts: list[str], p: int) -> str:
+    """The text that replaces the run parts[p] of a split list: its detach
     link after a separator, the pre connector, the run rotated, the post one."""
     _, rotation, detach, pre, pre_right, post, post_right = rules
     before, run, after = parts[p - 1][-1], parts[p], parts[p + 1][0]
-    pieces = []
+    lead = ""
     if before == chr(SEPARATOR_CODE):
         key = run[0] + (run[1] if len(run) > 1 else after)
         added = detach.get(key)
@@ -243,26 +206,28 @@ def _twist_run(rules: tuple, parts: list[str], p: int) -> list[str]:
                 f"{code_link(ord(key[0]))} -> {code_link(ord(key[1]))}, "
                 f"which no detachment case covers"
             )
-        before = added[0]
-        pieces.append(before)
+        before = lead = added[0]
         run = added[1:] + run  # rotated with the run
-    pieces += (pre.get(before, pre_right), run.translate(rotation), post.get(after, post_right))
-    return pieces
+    return (lead + pre.get(before, pre_right) + run.translate(rotation)
+            + post.get(after, post_right))
 
 
 def step(text: str, index: int, sign: int) -> tuple[str, int, int]:
-    """reduce_codes(twist_pieces(text, index, sign)), text and counters,
-    with each distinct run block reduced once, in a dict local to the call.
+    """reduce_codes(twist(text, index, sign)), text and counters, with each
+    distinct run block reduced once, in a dict local to the call.
 
-    A block, one run's pieces (_twist_run), is fixed by the link before the
-    run, the run and the link after it. It reduces on its own as in the
-    whole letter: its links lie at points i and i+1 and the links around it
-    outside; the one before is no endpoint (a reduced list follows one with
-    the separator), and the block ends in an endpoint only if the one after
-    is the separator, so no rule pairs a block link with either. A block
-    after a separator is reduced behind it, which no rule deletes or reaches
-    past. A block that reduces to nothing would bring its two neighbours
-    together, so then the whole letter is reduced instead.
+    A block, the text _twist_run puts in place of one run, is fixed by the
+    link before the run, the run and the link after it. It reduces on its
+    own as in the whole letter: its links lie at points i and i+1 and the
+    links around it outside; the one before is no endpoint (a reduced list
+    follows one with the separator), and the block ends in an endpoint only
+    if the one after is the separator, so no rule pairs a block link with
+    either. A block after a separator is reduced behind it, which no rule
+    deletes or reaches past. The gaps between runs are slices of the reduced
+    input, so they are copied unweighed, each link counted once in
+    `visited` as the whole letter's scan counts it. A block that reduces to
+    nothing would bring its two neighbours together, so then the whole
+    letter is reduced instead.
     """
     rules = _twist_rules(index, sign)
     parts = rules[0].split(text)
@@ -274,9 +239,9 @@ def step(text: str, index: int, sign: int) -> tuple[str, int, int]:
         block = blocks.get(key)
         if block is None:
             lead = chr(SEPARATOR_CODE) if parts[p - 1][-1] == chr(SEPARATOR_CODE) else ""
-            reduced, seen, gone = reduce_codes([lead, *_twist_run(rules, parts, p)])
+            reduced, seen, gone = reduce_codes(lead + _twist_run(rules, parts, p))
             if len(reduced) == len(lead):
-                return reduce_codes(twist_pieces(text, index, sign))
+                return reduce_codes(twist(text, index, sign))
             block = blocks[key] = reduced[len(lead):], seen - len(lead) - len(parts[p]), gone
         out += (block[0], parts[p + 1])
         visited += block[1]

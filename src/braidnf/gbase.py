@@ -32,7 +32,7 @@ from __future__ import annotations
 import dataclasses
 import re
 import sys
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import MalformedGBaseError, ResourceLimitError
 
@@ -178,8 +178,38 @@ def validate(gbase: GBaseWord, reduced_expected: bool = False) -> Violation | No
     return None
 
 
-def require_valid(gbase: GBaseWord, reduced_expected: bool = False) -> None:
-    violation = validate(gbase, reduced_expected)
+def twist_violation(gbase: GBaseWord) -> Violation | None:
+    """The first reason the twist cannot take the list, or None.
+
+    The twist takes reduced lists (validate in reduced mode), but not those
+    that no word reaches: two adjacent links, neither a separator, more than
+    one point apart, or a path whose first two links lie at one point. No
+    rule deletes either, so reduced mode accepts them, as it must accept
+    every output of reduce.
+    """
+    violation = validate(gbase, reduced_expected=True)
+    if violation is not None:
+        return violation
+    codes = list(map(ord, gbase.text))
+    for k, (code, succ) in enumerate(zip(codes, codes[1:])):
+        if code == SEPARATOR_CODE or succ == SEPARATOR_CODE:
+            continue
+        if abs(code // 3 - succ // 3) > 1:
+            return Violation(
+                k + 1, f"{code_link(code)}{code_link(succ)} lie more than one point apart"
+            )
+        if code // 3 == succ // 3 and codes[k - 1] == SEPARATOR_CODE:
+            return Violation(
+                k + 1, f"path starts {code_link(code)}{code_link(succ)} at one point"
+            )
+    return None
+
+
+def require_valid(
+    gbase: GBaseWord, check: Callable[[GBaseWord], Violation | None] = validate
+) -> None:
+    """Raise MalformedGBaseError with the violation `check` finds, if any."""
+    violation = check(gbase)
     if violation is not None:
         raise MalformedGBaseError(str(violation))
 

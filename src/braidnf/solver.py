@@ -2,7 +2,7 @@
 
 A word acts on the standard g-base letter by letter, in one loop
 (process_word) that normal_form and words_equal also run. Each letter is
-engine.step(text, index, sign), the reduction of the twist's pieces, so the
+engine.step(text, index, sign), the reduction of the twist's output, so the
 list the next letter sees is always in normal form; the reduction works
 only where the twist spliced, once per distinct run block. Two words over
 the same strand count are equal exactly when their final lists are
@@ -28,16 +28,19 @@ from typing import Sequence
 from . import engine
 from .braidword import BraidWord, Letter, check_same_strands, permutation_of_word
 from .errors import InternalStateError
-from .gbase import GBaseWord, check_strand_count, require_valid, standard_gbase
+from .gbase import GBaseWord, check_strand_count, require_valid, standard_gbase, twist_violation
 
 
 @dataclasses.dataclass(frozen=True)
 class TwistStats:
     """Work counters for one generator application.
 
-    links_visited counts input links examined (the full scan) and
-    links_inserted the links the twist added. The reduce_* fields count the
-    reduction that follows each twist in process_word.
+    They count the scan of the whole letter, which engine.step reproduces
+    without running it: the twist of the whole list, then reduce_codes over
+    all of its output. links_visited is the input length and links_inserted
+    the links the twist added. The reduce_* fields are those of that
+    link-by-link reduction, though step weighs only the distinct run
+    blocks.
     """
     links_visited: int = 0
     links_inserted: int = 0
@@ -46,21 +49,24 @@ class TwistStats:
 
     @property
     def pre_reduce_length(self) -> int:
-        """The unreduced output length: the input length plus the inserts."""
+        """The unreduced twist output's length, the input length plus the
+        inserts; step builds that output only on its fallback."""
         return self.links_visited + self.links_inserted
 
 
 def apply_letter(gbase: GBaseWord, letter: Letter) -> tuple[GBaseWord, TwistStats]:
     """Apply one letter's half-twist to a reduced g-base; returns the unreduced result.
 
-    The input must be reduced: the detach table of engine._twist_rules
-    covers only the ways a reduced path leaves the basepoint, so anything
-    else raises MalformedGBaseError. A letter whose index is not in 1..n-1
+    The input must be a list the twist can take (gbase.twist_violation):
+    reduced, since the detach table of engine._twist_rules covers only the
+    ways a reduced path leaves the basepoint, and free of the two shapes no
+    word reaches. Anything else raises MalformedGBaseError, so an
+    InternalStateError here is a bug. A letter whose index is not in 1..n-1
     or whose sign is not +-1 raises MalformedWordError, as BraidWord does.
     """
     BraidWord(gbase.strand_count, (letter,))  # checks the letter's index and sign
-    require_valid(gbase, reduced_expected=True)
-    out = "".join(engine.twist_pieces(gbase.text, letter.index, letter.sign))
+    require_valid(gbase, twist_violation)
+    out = engine.twist(gbase.text, letter.index, letter.sign)
     stats = TwistStats(links_visited=len(gbase), links_inserted=len(out) - len(gbase))
     return GBaseWord(gbase.strand_count, out), stats
 
@@ -82,11 +88,11 @@ def process_word(
     More than gbase.MAX_TEXT_STRANDS strands raise ResourceLimitError.
 
     This is the loop every word-level function runs. Each letter is
-    engine.step, which returns engine.reduce_codes(engine.twist_pieces(...)),
-    so the next letter sees the normal form. The reduction weighs only where
+    engine.step, which returns engine.reduce_codes(engine.twist(...)), so
+    the next letter sees the normal form. The reduction weighs only where
     the twist spliced, with the counters of a full scan. The inserts follow
-    by conservation: the pieces hold the input's links plus the inserts,
-    and the reduced text is that minus the deletions. normal_form and
+    by conservation: the twist's output holds the input's links plus the
+    inserts, and the reduced text is that minus the deletions. normal_form and
     words_equal pass the positions of the letters to apply, in order, as
     _positions (all of them by default), so an InternalStateError names the
     letter by its position k in word and its value.

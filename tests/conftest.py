@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 
 from hypothesis import strategies as st
@@ -122,17 +123,48 @@ def dynnikov(word: BraidWord) -> tuple[int, ...]:
 def dynnikov_step(coords: tuple[int, ...], index: int, sign: int) -> tuple[int, ...]:
     """The coordinates after one letter: only x_i, y_i, x_i+1, y_i+1 change."""
     k = 2 * index - 2
-    a, b, c, d = coords[k:k + 4]
+    return coords[:k] + _dynnikov_moved(*coords[k:k + 4], sign) + coords[k + 4:]
+
+
+def _dynnikov_moved(a: int, b: int, c: int, d: int, sign: int) -> tuple[int, int, int, int]:
+    """(x_i, y_i, x_i+1, y_i+1) after sigma_i^sign, from their values before."""
     b_minus, b_plus, d_minus, d_plus = min(b, 0), max(b, 0), min(d, 0), max(d, 0)
     if sign > 0:
         t = a - b_minus - c + d_plus
-        changed = (a + b_plus + max(d_plus - t, 0), d - max(t, 0),
-                   c + d_minus + min(b_minus + t, 0), b + max(t, 0))
-    else:
-        t = a + b_minus - c - d_plus
-        changed = (a - b_plus - max(d_plus + t, 0), d + min(t, 0),
-                   c - d_minus - min(b_minus - t, 0), b - min(t, 0))
-    return coords[:k] + changed + coords[k + 4:]
+        return (a + b_plus + max(d_plus - t, 0), d - max(t, 0),
+                c + d_minus + min(b_minus + t, 0), b + max(t, 0))
+    t = a + b_minus - c - d_plus
+    return (a - b_plus - max(d_plus + t, 0), d + min(t, 0),
+            c - d_minus - min(b_minus - t, 0), b - min(t, 0))
+
+
+def predicted_passes(word: BraidWord) -> list[int]:
+    """The number of passes (links of position +-1) in each path of the
+    word's normal form, in list order, from Dynnikov coordinates alone.
+
+    The rule is empirical: it matches the engine on every word checked, but
+    no proof is in hand. For path m, start from x_m = 1 and every other
+    coordinate 0, and apply the letters in word order with each sign
+    negated. With s_k = y_1 + ... + y_(k-1) and best the largest
+    |x_k| + max(y_k, 0) + s_k, the path holds max(raw - 1, 0) passes, where
+    raw is the sum over i of best - s_i + max(-y_i, 0), less n. It costs
+    O(L + n) integer steps per path and builds no list, so it is a cheap,
+    independent check where the lists are big.
+    """
+    n = word.strand_count
+    counts = []
+    for m in range(n):
+        coords = [0] * (2 * n)
+        coords[2 * m] = 1
+        for index, sign in word.letters:
+            k = 2 * index - 2
+            coords[k:k + 4] = _dynnikov_moved(*coords[k:k + 4], -sign)
+        xs, ys = coords[0::2], coords[1::2]
+        sums = list(itertools.accumulate(ys[:-1], initial=0))
+        best = max(abs(x) + max(y, 0) + below for x, y, below in zip(xs, ys, sums))
+        raw = sum(best - below + max(-y, 0) for y, below in zip(ys, sums)) - n
+        counts.append(max(raw - 1, 0))
+    return counts
 
 
 # -- Link <-> code conversion for tests written in terms of links -------------
@@ -199,7 +231,7 @@ def valid_gbases(draw, max_strands=6) -> GBaseWord:
     return random_valid_gbase(random.Random(draw(st.integers(0, 2**48))), max_strands)
 
 
-# -- Link-level reference twist, run by run, for the engine's twist_pieces ---
+# -- Link-level reference twist, run by run, for the engine's twist ---------
 
 @dataclasses.dataclass(frozen=True)
 class LocalRun:

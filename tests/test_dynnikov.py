@@ -1,17 +1,28 @@
 """The Dynnikov-coordinate witness (conftest.dynnikov) against the free-group
 oracle where both are cheap, then against words_equal on words long enough
-that only the witness stays cheap."""
+that only the witness stays cheap; and the per-path size rule
+(conftest.predicted_passes) against the normal forms, up to lists of ~10^4
+links."""
 
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from braidnf.braidword import concat, inverse
 from braidnf.oracle import word_image
-from braidnf.solver import words_equal
+from braidnf.prng import SplitMix64, random_word
+from braidnf.solver import normal_form, words_equal
 
-from conftest import dynnikov, rewritten, word_from_ints
+from conftest import (
+    braid_words,
+    dynnikov,
+    paths_of,
+    predicted_passes,
+    rewritten,
+    word_from_ints,
+)
 
 
 def classes(key, words):
@@ -68,3 +79,21 @@ def test_words_equal_agrees_with_dynnikov(n, length):
         assert verdict is (dynnikov(first) == dynnikov(second)), (k, values, other)
         verdicts.append(verdict)
     assert verdicts.count(True) == 4
+
+
+def passes_per_path(word):
+    """The links of position +-1 in each path of normal_form(word), in list order."""
+    return [sum(link.position != 0 for link in path) for path in paths_of(normal_form(word))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(braid_words(max_strands=12, max_length=30))
+def test_predicted_passes_match_the_normal_form(word):
+    assert predicted_passes(word) == passes_per_path(word)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_predicted_passes_match_tangle_sized_words(seed):
+    # n=4, L=64, the tangle workload's shape: lists of 2,000 to 42,000 links
+    word = random_word(4, 64, SplitMix64(seed))
+    assert predicted_passes(word) == passes_per_path(word)

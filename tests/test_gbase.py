@@ -8,10 +8,12 @@ from braidnf.gbase import (
     MAX_TEXT_STRANDS,
     GBaseWord,
     Link,
+    Violation,
     endpoints_permutation,
     format_gbase,
     parse_gbase,
     standard_gbase,
+    twist_violation,
     validate,
 )
 from braidnf.solver import process_word, reduce
@@ -107,6 +109,28 @@ def test_validate_flags_structural_violations(n, pairs, reduced, index, fragment
     assert violation is not None
     assert violation.index == index
     assert fragment in violation.reason
+
+
+@pytest.mark.parametrize(
+    "n, pairs, reason",
+    [
+        (3, [(-1, 0), (1, 1), (3, 0), (-1, 0), (1, 0), (-1, 0), (2, 0), (-1, 0)],
+         "(1,1)(3,0) lie more than one point apart"),
+        (2, [(-1, 0), (1, 1), (1, -1), (2, 0), (-1, 0), (1, 0), (-1, 0)],
+         "path starts (1,1)(1,-1) at one point"),
+    ],
+    ids=["jump", "doubled-start"],
+)
+def test_twist_violation_flags_reduced_lists_no_word_reaches(n, pairs, reason):
+    g = gbase_of(n, pairs)
+    assert validate(g, reduced_expected=True) is None
+    assert twist_violation(g) == Violation(2, reason)
+
+
+def test_twist_violation_reports_reduced_mode_first():
+    g = gbase_of(1, links((-1, 0), (1, -1), (1, 0), (-1, 0)))
+    violation = validate(g, reduced_expected=True)
+    assert violation is not None and twist_violation(g) == violation
 
 
 def test_figure_list_parses_and_round_trips():

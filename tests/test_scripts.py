@@ -27,10 +27,23 @@ def test_doubling_experiment_runs():
     assert "spread" in result.stdout
 
 
-def test_mutants_script_reports_the_killing_test():
+def load_mutants():
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
+    return mutants
+
+
+def test_every_mutant_fragment_occurs_once():
+    # a fragment the source no longer holds would stop the gate only after
+    # it has run the unmutated suite
+    for name, file, fragment, _ in load_mutants().MUTANTS:
+        source = (ROOT / "src" / "braidnf" / file).read_text()
+        assert source.count(fragment) == 1, name
+
+
+def test_mutants_script_reports_the_killing_test():
+    mutants = load_mutants()
     (rotation,) = [m for m in mutants.MUTANTS if m[0] == "rotation off by 2"]
     assert mutants.run_mutant(rotation, ("tests/test_twist.py",)).startswith(
         "tests/test_twist.py::"

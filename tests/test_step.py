@@ -1,10 +1,10 @@
-"""One letter of the solver's loop, engine.reduce_codes on the pieces of
-engine.twist_pieces, against an independent twist and a full reduction: the
-Link-level reference_apply (conftest) followed by engine.reduce_codes on the
-joined text; engine.reduce_codes on text cut into pieces; and the loop over
-every short word against Dynnikov coordinates. engine.step, which the loop
-runs, must give that letter exactly, text and counters, on all of these
-lists and on long ones where run blocks repeat."""
+"""One letter of the solver's loop, engine.reduce_codes on the output of
+engine.twist, against an independent twist and a full reduction: the
+Link-level reference_apply (conftest) followed by engine.reduce_codes;
+engine.reduce_codes resumed on a reduced prefix; and the loop over every
+short word against Dynnikov coordinates. engine.step, which the loop runs,
+must give that letter exactly, text and counters, on all of these lists and
+on long ones where run blocks repeat."""
 
 import random
 
@@ -21,8 +21,9 @@ from braidnf.gbase import (
     format_gbase,
     parse_gbase,
     standard_gbase,
+    twist_violation,
 )
-from braidnf.solver import TwistStats, process_word
+from braidnf.solver import TwistStats, apply_letter, process_word
 
 from conftest import (
     braid_words,
@@ -35,21 +36,17 @@ from conftest import (
 )
 
 
-def step_text(text, index, sign):
-    """One letter on a reduced list's text, as solver.process_word runs it.
+def whole_letter(text, index, sign):
+    """One letter on a reduced list's text, the whole list twisted and then
+    reduced link by link, as engine.step must reproduce it.
 
     Returns (text, inserted, visited, deleted): the reduced list after the
     letter, the links the twist added and the counters of reduce_codes on
-    the twist_pieces output. reduce_codes takes the pieces as they are, so
-    rule work is done only where the twist splices. Every rule, and both
-    InternalStateError checks, decide from the pair (stack top, incoming
-    link) alone, so `visited` and `deleted` count exactly the weighings and
-    deletions of the full scan, and a malformed input is caught wherever a
-    splice weighs it.
+    the output of engine.twist.
     """
-    pieces = engine.twist_pieces(text, index, sign)
-    out, visited, deleted = engine.reduce_codes(pieces)
-    return out, sum(map(len, pieces)) - len(text), visited, deleted
+    unreduced = engine.twist(text, index, sign)
+    out, visited, deleted = engine.reduce_codes(unreduced)
+    return out, len(unreduced) - len(text), visited, deleted
 
 
 @settings(max_examples=150, deadline=None)
@@ -61,7 +58,7 @@ def test_step_text_is_the_solver_loop(word):
     text, steps = standard_gbase(word.strand_count).text, []
     for index, sign in word.letters:
         previous = text
-        text, inserted, visited, deleted = step_text(text, index, sign)
+        text, inserted, visited, deleted = whole_letter(text, index, sign)
         assert engine.step(previous, index, sign) == (text, visited, deleted)
         steps.append(TwistStats(len(previous), inserted, visited, deleted))
     assert (gbase.text, per_letter) == (text, steps)
@@ -80,7 +77,7 @@ def test_step_reduces_repeated_blocks_once():
             parts = engine._twist_rules(index, sign)[0].split(text)
             keys = [(parts[p - 1][-1], parts[p], parts[p + 1][0]) for p in range(1, len(parts), 2)]
             repeats += len(keys) - len(set(keys))
-            out, _, visited, deleted = step_text(text, index, sign)
+            out, _, visited, deleted = whole_letter(text, index, sign)
             assert engine.step(text, index, sign) == (out, visited, deleted)
             text = out
     assert repeats > 10_000
@@ -90,7 +87,7 @@ def test_step_is_the_letter_on_any_reduced_list():
     # reduced lists that no word need reach: the links beside a run may lie
     # at any point, so a block's post connector and detach link depend on
     # the link after the run as well as on the run. step must give the
-    # letter's text and counters, or raise what twist_pieces raises when no
+    # letter's text and counters, or raise what twist raises when no
     # detach case covers a run start
     outcomes = []
     for seed in range(400):
@@ -99,7 +96,7 @@ def test_step_is_the_letter_on_any_reduced_list():
         for index in range(1, gbase.strand_count):
             for sign in (1, -1):
                 try:
-                    out, _, visited, deleted = step_text(text, index, sign)
+                    out, _, visited, deleted = whole_letter(text, index, sign)
                 except InternalStateError as error:
                     with pytest.raises(InternalStateError) as raised:
                         engine.step(text, index, sign)
@@ -122,21 +119,43 @@ def test_step_reduces_the_whole_letter_when_a_block_vanishes(monkeypatch, values
     # no list that a word reaches has shown a block that reduces to nothing
     # (CHANGES.md gives the search), so the first block is made to:
     # reduce_codes hands back only the separator that leads it, if any. step
-    # must then reduce the whole letter's pieces, in one more call
+    # must then reduce the whole letter's twist output, in one more call
     text = process_word(word_from_ints(3, values))[0].text
-    expected = {sign: step_text(text, 1, sign) for sign in (1, -1)}
+    expected = {sign: whole_letter(text, 1, sign) for sign in (1, -1)}
     real_reduce, calls = engine.reduce_codes, []
 
-    def reduce_codes(pieces):
-        calls.append(list(pieces))
-        return (pieces[0], 0, 0) if len(calls) == 1 else real_reduce(pieces)
+    def reduce_codes(unreduced):
+        calls.append(unreduced)
+        return (lead, 0, 0) if len(calls) == 1 else real_reduce(unreduced)
 
     monkeypatch.setattr(engine, "reduce_codes", reduce_codes)
     for sign, (out, _, visited, deleted) in expected.items():
         calls.clear()
         assert engine.step(text, 1, sign) == (out, visited, deleted)
-        assert calls[0][0] == lead
-        assert calls[1:] == [engine.twist_pieces(text, 1, sign)]
+        rules = engine._twist_rules(1, sign)
+        assert calls[0] == lead + engine._twist_run(rules, rules[0].split(text), 1)
+        assert calls[1:] == [engine.twist(text, 1, sign)]
+
+
+def test_step_falls_back_on_a_list_whose_block_vanishes(monkeypatch):
+    # a reduced list that twist_violation accepts, though no word is known to
+    # reach it: under sigma_2 the run (2,1)(3,1)(2,-1)(3,-1) twists and
+    # cancels with its connectors, so step reaches its fallback unpatched
+    text = text_of([
+        (-1, 0), (1, 1), (2, 1), (3, 1), (2, -1), (3, -1), (4, 1), (3, 0), (-1, 0),
+        (1, 0), (-1, 0), (2, 0), (-1, 0), (4, 0), (-1, 0),
+    ])
+    assert twist_violation(GBaseWord(4, text)) is None
+    out, _, visited, deleted = whole_letter(text, 2, 1)
+    real_reduce, calls = engine.reduce_codes, []
+
+    def reduce_codes(unreduced):
+        calls.append(unreduced)
+        return real_reduce(unreduced)
+
+    monkeypatch.setattr(engine, "reduce_codes", reduce_codes)
+    assert engine.step(text, 2, 1) == (out, visited, deleted)
+    assert calls[-1] == engine.twist(text, 2, 1)
 
 
 def two_pass(n, text, index, sign):
@@ -166,7 +185,9 @@ def test_step_text_matches_twist_then_reduce(case):
     # letters 1 and n-1 reach the detach cases that make points 0 and n+1
     for index in sorted({1, n - 1, drawn}):
         for sign in (1, -1):
-            assert step_text(text, index, sign) == two_pass(n, text, index, sign)
+            out, inserted, visited, deleted = two_pass(n, text, index, sign)
+            assert whole_letter(text, index, sign) == (out, inserted, visited, deleted)
+            assert engine.step(text, index, sign) == (out, visited, deleted)
 
 
 @pytest.mark.parametrize("n", [90, 20000])
@@ -176,7 +197,9 @@ def test_step_text_holds_wide_codes(n):
     gbase = process_word(word_from_ints(n, [n - 1, -1, n // 2, n - 2, 2, 1 - n]))[0]
     assert max(map(ord, gbase.text)) > (255 if n == 90 else 0xD800)
     for index in (1, n // 2, n - 1):
-        assert step_text(gbase.text, index, -1) == two_pass(n, gbase.text, index, -1)
+        out, inserted, visited, deleted = two_pass(n, gbase.text, index, -1)
+        assert whole_letter(gbase.text, index, -1) == (out, inserted, visited, deleted)
+        assert engine.step(gbase.text, index, -1) == (out, visited, deleted)
     # the text form and a list rebuilt from its links give an equal value
     for rebuilt in (parse_gbase(format_gbase(gbase), n), GBaseWord(n, text_of(gbase.links))):
         assert rebuilt == gbase and hash(rebuilt) == hash(gbase)
@@ -185,20 +208,19 @@ def test_step_text_holds_wide_codes(n):
 @pytest.mark.parametrize(
     "pairs, message, fused_prefix",
     [
-        # a separator followed by (2,-1): no detach case covers it; step_text
-        # names the link, the Link-level reference does not
+        # a separator followed by (2,-1): no detach case covers it;
+        # whole_letter names the link, the Link-level reference does not
         (
             [(-1, 0), (2, -1), (1, 0), (-1, 0), (2, 0), (-1, 0)],
             r"no detachment case covers$",
             "link 1: ",
         ),
-        # a gap of two separators: not reduced, so outside step_text's
-        # contract; step_text trusts a gap past its first link and only the
-        # full scan of the two single steps sees the pair
+        # a gap of two separators: not reduced, but whole_letter reduces
+        # the whole twist output, so it sees the pair
         (
             [(-1, 0), (1, 0), (-1, 0), (-1, 0), (2, 0), (-1, 0)],
             r"^adjacent equal position-0 links \(-1,0\) at output offset 3$",
-            None,
+            "",
         ),
         # an endpoint outside the region directly before a run
         (
@@ -213,41 +235,50 @@ def test_step_text_raises_what_the_single_steps_raise(pairs, message, fused_pref
     text = text_of(pairs)
     with pytest.raises(InternalStateError, match=message) as two_steps:
         two_pass(2, text, 1, 1)
-    if fused_prefix is not None:
-        with pytest.raises(InternalStateError) as fused:
-            step_text(text, 1, 1)
-        assert str(fused.value) == fused_prefix + str(two_steps.value)
-
-
-def cut(text, rng):
-    """`text` cut at random points into consecutive pieces, some of them empty."""
-    points = sorted(rng.randint(0, len(text)) for _ in range(rng.randint(0, 6)))
-    return [text[a:b] for a, b in zip([0, *points], [*points, len(text)])]
+    with pytest.raises(InternalStateError) as fused:
+        whole_letter(text, 1, 1)
+    assert str(fused.value) == fused_prefix + str(two_steps.value)
 
 
 @settings(max_examples=200)
 @given(valid_gbases(), st.integers(0, 2**32))
-def test_push_onto_a_stack_of_text_pieces(gbase, salt):
-    # the stack reduce_codes holds after a prefix, held as text cut into
-    # random pieces, then the rest of the list as one-link pieces: cascades
-    # pop across the piece boundaries, and each link of the reduced prefix
-    # is weighed once more
-    rng = random.Random(salt)
+def test_reduce_resumes_on_a_reduced_prefix(gbase, salt):
+    # reduce_codes on the stack it holds after a prefix, then the rest of
+    # the list: cascades pop back into the prefix, and each link of the
+    # reduced prefix is weighed once more
     text = gbase.text
-    split = rng.randint(1, len(text))
+    split = random.Random(salt).randint(1, len(text))
     stack, visited, deleted = engine.reduce_codes(text[:split])
-    out, more_visited, more_deleted = engine.reduce_codes(cut(stack, rng) + list(text[split:]))
+    out, more_visited, more_deleted = engine.reduce_codes(stack + text[split:])
     assert (out, visited + more_visited - len(stack), deleted + more_deleted) == (
         engine.reduce_codes(text)
     )
 
 
 @settings(max_examples=150, deadline=None)
-@given(reduced_lists(), st.integers(0, 2**32))
-def test_push_keeps_a_reduced_list_in_pieces(case, salt):
-    # each piece is weighed once and copied; none of its links is deleted
+@given(reduced_lists())
+def test_reduce_weighs_a_reduced_list_once_per_link(case):
+    # each link is weighed once and pushed; none is deleted
     text, _, _ = case
-    assert engine.reduce_codes(cut(text, random.Random(salt))) == (text, len(text), 0)
+    assert engine.reduce_codes(text) == (text, len(text), 0)
+
+
+def test_validated_lists_take_every_letter():
+    # twist_violation refuses every reduced list the twist cannot take, so
+    # on a list it accepts neither apply_letter nor step raises
+    # InternalStateError, whether or not a word reaches the list
+    accepted = 0
+    for seed in range(1000):
+        gbase = random_valid_gbase(random.Random(seed))
+        text = engine.reduce_codes(gbase.text)[0]
+        if twist_violation(GBaseWord(gbase.strand_count, text)) is not None:
+            continue
+        accepted += 1
+        for index in range(1, gbase.strand_count):
+            for sign in (1, -1):
+                apply_letter(GBaseWord(gbase.strand_count, text), Letter(index, sign))
+                engine.step(text, index, sign)
+    assert accepted > 300
 
 
 @pytest.mark.parametrize(
@@ -274,6 +305,6 @@ def test_prefix_tree_agrees_with_dynnikov(n, depth, freely_reduced):
             continue
         for letter in inverse:
             if not (freely_reduced and letters and letters[-1] == inverse[letter]):
-                out, _, visited, deleted = step_text(text, *letter)
+                out, _, visited, deleted = whole_letter(text, *letter)
                 assert engine.step(text, *letter) == (out, visited, deleted), letters
                 nodes.append((out, dynnikov_step(coords, *letter), letters + (letter,)))

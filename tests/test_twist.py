@@ -88,7 +88,7 @@ def test_separator_detach_rejects_uncovered_pattern():
 def test_twist_names_the_run_with_no_detach_case():
     # a separator followed by (2,-1): no reduced path leaves the basepoint so
     with pytest.raises(InternalStateError, match="link 1"):
-        engine.twist_pieces("".join(map(chr, [1, 9, 7, 1, 10, 1])), 1, 1)
+        engine.twist("".join(map(chr, [1, 9, 7, 1, 10, 1])), 1, 1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -115,9 +115,9 @@ def test_every_detach_pair_matches_the_reference(n):
                         expected = reference_apply(gbase_of(n, pairs), Letter(i, sign))
                     except InternalStateError:
                         with pytest.raises(InternalStateError, match="no detachment case"):
-                            engine.twist_pieces(text, i, sign)
+                            engine.twist(text, i, sign)
                         continue
-                    assert "".join(engine.twist_pieces(text, i, sign)) == text_of(expected)
+                    assert engine.twist(text, i, sign) == text_of(expected)
                     detached += 1
             assert detached == 14
 
@@ -185,6 +185,17 @@ def test_apply_letter_rejects_out_of_range_index(letter):
 def test_apply_letter_rejects_malformed_input(pairs):
     with pytest.raises(MalformedGBaseError):
         apply_letter(gbase_of(2, pairs), Letter(1, 1))
+
+
+def test_apply_letter_rejects_a_start_no_detach_case_covers():
+    # reduced in every other sense, but the third path leaves the basepoint
+    # (1,1)(4,1), which no word reaches and the twist cannot detach
+    pairs = [
+        (-1, 0), (3, 0), (-1, 0), (2, 1), (1, -1), (2, 0), (-1, 0), (1, 1), (4, 1),
+        (2, 1), (1, 0), (-1, 0), (4, 0), (-1, 0),
+    ]
+    with pytest.raises(MalformedGBaseError, match="more than one point apart"):
+        apply_letter(gbase_of(4, pairs), Letter(1, 1))
 
 
 def test_apply_letter_leaves_untouched_paths_alone():
