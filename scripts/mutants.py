@@ -69,6 +69,8 @@ MUTANTS = [
      "if False:"),
     ("suffix strip overlaps prefix", "solver.py",
      "while stop < shorter - start and", "while stop < shorter and"),
+    ("link ceiling never checked", "solver.py",
+     "if len(text) > gbase.MAX_LINKS:", "if False:"),
     ("letter index n allowed", "braidword.py",
      "<= self.strand_count - 1:", "<= self.strand_count:"),
     ("strand counts must differ", "braidword.py",
@@ -77,6 +79,8 @@ MUTANTS = [
     ("oracle sigma^-1 conjugated on the wrong side", "oracle.py",
      "grown = _product(_product(right[::-1].translate(flip), here), right)",
      "grown = _product(_product(right, here), right[::-1].translate(flip))"),
+    ("oracle syllable ceiling never checked", "oracle.py",
+     "if total > MAX_SYLLABLES:", "if False:"),
 ]
 
 

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Verdict commands print "true" or "false" and exit 0 for an affirmative
-verdict, 1 for a negative one; any malformed input, oracle resource ceiling,
-or usage problem exits 2 with a diagnostic on stderr.
+verdict, 1 for a negative one; any malformed input, work ceiling, or usage
+problem exits 2 with a diagnostic on stderr, and an internal error (a bug)
+exits 3, so it never reads as a verdict.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterator
 
 from .bench import CSV_HEADER, bench_rows
 from .braidword import parse_word
-from .errors import MalformedWordError, ResourceLimitError
+from .errors import InternalStateError, MalformedWordError, ResourceLimitError
 from .gbase import format_gbase
 from .oracle import oracle_equal
 from .solver import is_identity, normal_form, words_equal
@@ -101,6 +102,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ResourceLimitError, ValueError, OSError) as error:
         print(f"braidnf: error: {error}", file=sys.stderr)
         return 2
+    except InternalStateError as error:
+        print(f"braidnf: internal error: {error}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -14,4 +14,4 @@ class InternalStateError(RuntimeError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A configurable work ceiling was exceeded (oracle images can grow exponentially)."""
+    """A work ceiling was exceeded (g-base lists and oracle images grow exponentially)."""

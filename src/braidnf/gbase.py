@@ -61,6 +61,11 @@ SEPARATOR_CODE = link_code(-1, 0)
 # at the virtual point n + 1, must be a character: at most sys.maxunicode
 MAX_TEXT_STRANDS = sys.maxunicode // 3 - 2
 
+# links a list may hold after any letter of solver.process_word: above the
+# standard g-base's 2 * MAX_TEXT_STRANDS + 1 and the test suite's longest
+# list (777,215); a refused word peaks at a few hundred MB, a few seconds in
+MAX_LINKS = 10_000_000
+
 
 def check_strand_count(strand_count: int) -> None:
     """Raise MalformedGBaseError below 1 strand and ResourceLimitError above

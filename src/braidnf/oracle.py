@@ -18,9 +18,9 @@ substituting letter by letter. Loop-orientation conventions differ between
 this action and the g-base engine, which is fine: equality verdicts are
 convention independent, so the oracle certifies verdicts, never link lists.
 
-Images can grow exponentially in the word length, so every entry point takes
-a ceiling on the syllables of all n images together and raises
-ResourceLimitError instead of thrashing.
+Images can grow exponentially in the word length, so the images of all n
+generators together may hold at most MAX_SYLLABLES syllables; past that
+every entry point raises ResourceLimitError instead of thrashing.
 """
 
 from __future__ import annotations
@@ -32,7 +32,9 @@ from .errors import ResourceLimitError
 
 Syllable = tuple[int, int]  # (generator 1..n, exponent +1 or -1)
 
-DEFAULT_MAX_SYLLABLES = 1_000_000
+# the syllables all n images may hold together; the n starting images fit,
+# as MAX_STRANDS is smaller
+MAX_SYLLABLES = 1_000_000
 
 # _images holds a syllable as one character, and x_n^-1 is chr(2n + 1)
 MAX_STRANDS = (sys.maxunicode - 1) // 2
@@ -47,7 +49,7 @@ def _product(first: str, second: str) -> str:
     return first[: len(first) - k] + second[k:]
 
 
-def _images(word: BraidWord, max_syllables: int) -> list[str]:
+def _images(word: BraidWord) -> list[str]:
     """Images of x_1..x_n under the whole word, freely reduced.
 
     An image is a str with one character per syllable: x_g^e is chr(2g) for
@@ -62,17 +64,12 @@ def _images(word: BraidWord, max_syllables: int) -> list[str]:
     cancellation happens only at the junctions.
 
     Raises ResourceLimitError once the n images under a suffix of the word
-    hold more than max_syllables between them, and before anything is built
-    when the n starting images, which hold n syllables, already do, or when
-    a code would pass sys.maxunicode (more than MAX_STRANDS strands).
+    hold more than MAX_SYLLABLES between them, and before anything is built
+    when a code would pass sys.maxunicode (more than MAX_STRANDS strands).
     """
     n = word.strand_count
     if n > MAX_STRANDS:
         raise ResourceLimitError(f"{n} oracle strands exceed {MAX_STRANDS}")
-    if n > max_syllables:
-        raise ResourceLimitError(
-            f"{n} oracle starting images exceed {max_syllables} syllables"
-        )
     flip = "".join(chr(c ^ 1) for c in range(2 * n + 2))  # flip[c] is code c ^ 1
     images = [chr(2 * g) for g in range(1, n + 1)]
     total = n
@@ -87,34 +84,23 @@ def _images(word: BraidWord, max_syllables: int) -> list[str]:
             grown = _product(_product(right[::-1].translate(flip), here), right)
             images[i], images[i + 1] = right, grown
             total += len(grown) - len(here)
-        if total > max_syllables:
-            raise ResourceLimitError(
-                f"oracle images exceeded {max_syllables} syllables in total"
-            )
+        if total > MAX_SYLLABLES:
+            raise ResourceLimitError(f"oracle images exceeded {MAX_SYLLABLES} syllables in total")
     return images
 
 
-def word_image(
-    word: BraidWord, gen: int, max_syllables: int = DEFAULT_MAX_SYLLABLES
-) -> tuple[Syllable, ...]:
-    """Image of x_gen under the whole word, freely reduced, as its syllables.
-
-    The letters act left to right: the image of x_gen under the first letter
-    is rewritten through the second, and so on. It is computed, with the
-    images of all other generators, in one pass over the letters from last
-    to first (see _images), so the ceiling applies to the images of all
-    generators together, under every suffix of the word.
-    """
+def word_image(word: BraidWord, gen: int) -> tuple[Syllable, ...]:
+    """Image of x_gen under the whole word, its letters acting left to right,
+    freely reduced, as its syllables. _images builds it with the images of
+    all other generators, so MAX_SYLLABLES bounds them all together."""
     if not 1 <= gen <= word.strand_count:
         raise ValueError(f"generator {gen} out of range for {word.strand_count} strands")
-    image = _images(word, max_syllables)[gen - 1]
+    image = _images(word)[gen - 1]
     return tuple((c >> 1, -1 if c & 1 else 1) for c in map(ord, image))
 
 
-def oracle_equal(
-    first: BraidWord, second: BraidWord, max_syllables: int = DEFAULT_MAX_SYLLABLES
-) -> bool:
+def oracle_equal(first: BraidWord, second: BraidWord) -> bool:
     """True iff both words act identically on every free-group generator;
     mismatched strand counts raise MalformedWordError."""
     check_same_strands(first, second)
-    return _images(first, max_syllables) == _images(second, max_syllables)
+    return _images(first) == _images(second)

@@ -15,9 +15,10 @@ hands it the word it was given: normal_form the positions left by
 cancelling sigma_i ... sigma_i^-1 pairs across commuting letters
 (_reduced), which keeps the normal form, and words_equal those left after
 that and after stripping the common prefix and suffix. An
-InternalStateError names the letter by its position in that word. The
-callers look process_word up by name, so braidbench/spans.py, which
-traces it, counts every run of the loop.
+InternalStateError names the letter by its position in that word, as does
+the ResourceLimitError of a list past gbase.MAX_LINKS links. The callers
+look process_word up by name, so braidbench/spans.py, which traces it,
+counts every run of the loop.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
-from . import engine
+from . import engine, gbase
 from .braidword import BraidWord, Letter, check_same_strands, permutation_of_word
-from .errors import InternalStateError
+from .errors import InternalStateError, ResourceLimitError
 from .gbase import GBaseWord, check_strand_count, require_valid, standard_gbase, twist_violation
 
 
@@ -85,7 +86,8 @@ def process_word(
 
     Returns the final reduced g-base and one stats record per letter (twist
     counters plus the reduce counters of the normalization that followed).
-    More than gbase.MAX_TEXT_STRANDS strands raise ResourceLimitError.
+    More than gbase.MAX_TEXT_STRANDS strands raise ResourceLimitError, and
+    so does a list of more than gbase.MAX_LINKS links after any letter.
 
     This is the loop every word-level function runs. Each letter is
     engine.step, which returns engine.reduce_codes(engine.twist(...)), so
@@ -94,8 +96,8 @@ def process_word(
     by conservation: the twist's output holds the input's links plus the
     inserts, and the reduced text is that minus the deletions. normal_form and
     words_equal pass the positions of the letters to apply, in order, as
-    _positions (all of them by default), so an InternalStateError names the
-    letter by its position k in word and its value.
+    _positions (all of them by default), so an error names the letter by its
+    position k in word and its value.
     """
     text = standard_gbase(word.strand_count).text
     per_letter: list[TwistStats] = []
@@ -106,6 +108,9 @@ def process_word(
             text, visited, deleted = engine.step(text, index, sign)
         except InternalStateError as error:
             raise InternalStateError(f"letter {k} ({index * sign}): {error}") from error
+        if len(text) > gbase.MAX_LINKS:
+            message = f"list of {len(text)} links exceeds MAX_LINKS ({gbase.MAX_LINKS})"
+            raise ResourceLimitError(f"letter {k} ({index * sign}): {message}")
         per_letter.append(TwistStats(length, len(text) + deleted - length, visited, deleted))
     return GBaseWord(word.strand_count, text), per_letter
 

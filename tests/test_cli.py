@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from braidnf import cli
+from braidnf import cli, engine
 from braidnf.braidword import parse_word
 from braidnf.bench import bench_rows
 from braidnf.cli import main
-from braidnf.errors import MalformedWordError, ResourceLimitError
+from braidnf.errors import InternalStateError, MalformedWordError, ResourceLimitError
 from braidnf.gbase import MAX_TEXT_STRANDS, format_gbase
 from braidnf.solver import process_word
 
@@ -130,6 +130,31 @@ def test_strand_count_beyond_the_engine_exits_2(capsys):
     code, out, err = run(capsys, "normal-form", "--strands", strands, "1")
     assert (code, out) == (2, "")
     assert strands in err
+
+
+def test_link_ceiling_exits_2(monkeypatch, capsys):
+    # at n=3, 1 -2 1 -2 1 grows the list to 8, 12, 21, 37, 63 links
+    monkeypatch.setattr("braidnf.gbase.MAX_LINKS", 62)
+    refused = "letter 4 (1): list of 63 links exceeds MAX_LINKS (62)"
+    for argv in (["normal-form", "--strands", "3", "1 -2 1 -2 1"],
+                 ["equal", "--strands", "3", "1 -2 1 -2 1 2 2", "2 2 1 -2 1 -2 1"],
+                 ["identity", "--strands", "3", "1 -2 1 -2 1 -2"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"braidnf: error: {refused}\n"), argv
+    code, out, err = run(capsys, "bench", "--strands", "3", "--length", "32",
+                         "--count", "2", "--seed", "7")
+    assert (code, out) == (2, "")
+    assert err.startswith("braidnf: error: letter ") and "exceeds MAX_LINKS (62)" in err
+
+
+def test_internal_error_exits_3_and_prints_no_verdict(monkeypatch, capsys):
+    def step(text, index, sign):
+        raise InternalStateError("broken invariant")
+
+    monkeypatch.setattr(engine, "step", step)
+    code, out, err = run(capsys, "equal", "--strands", "3", "1 2 1", "2 1 2")
+    assert (code, out) == (3, "")
+    assert err == "braidnf: internal error: letter 0 (1): broken invariant\n"
 
 
 def test_integer_past_the_digit_limit_exits_2(capsys):

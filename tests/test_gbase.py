@@ -5,6 +5,7 @@ from hypothesis import given
 
 from braidnf.errors import MalformedGBaseError, ResourceLimitError
 from braidnf.gbase import (
+    MAX_LINKS,
     MAX_TEXT_STRANDS,
     GBaseWord,
     Link,
@@ -190,6 +191,11 @@ def test_text_range_is_the_strand_ceiling():
                   lambda: parse_gbase("(-1,0)", n)):
         with pytest.raises(ResourceLimitError, match=str(n)):
             build()
+
+
+def test_link_ceiling_holds_every_standard_gbase():
+    # so no list is checked against MAX_LINKS before it is built
+    assert MAX_LINKS >= 2 * MAX_TEXT_STRANDS + 1
 
 
 def test_parse_rejects_structurally_invalid():

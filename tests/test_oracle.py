@@ -118,46 +118,48 @@ def test_oracle_inverse_law(word):
         assert word_image(trivial, gen) == ((gen, 1),)
 
 
-def test_syllable_ceiling_raises():
+def test_syllable_ceiling_raises(monkeypatch):
     # positive powers of one generator grow the image of x_1 without bound
     word = parse_word(" ".join(["1"] * 40), 2)
+    assert oracle_equal(word, word)
+    monkeypatch.setattr(oracle, "MAX_SYLLABLES", 50)
     with pytest.raises(ResourceLimitError):
-        word_image(word, 1, max_syllables=50)
-    assert oracle_equal(word, word, max_syllables=10**6)
+        word_image(word, 1)
 
 
-def test_oracle_equal_ceiling_raises():
+def test_oracle_equal_ceiling_raises(monkeypatch):
     word = parse_word(" ".join(["1"] * 40), 2)
+    monkeypatch.setattr(oracle, "MAX_SYLLABLES", 50)
     with pytest.raises(ResourceLimitError):
-        oracle_equal(word, parse_word("", 2), max_syllables=50)
+        oracle_equal(word, parse_word("", 2))
 
 
-def test_ceiling_covers_the_starting_images():
-    # the n starting images hold n syllables between them, so more strands
-    # than the ceiling raise before any image is built
+def test_ceiling_covers_the_starting_images(monkeypatch):
+    # the n starting images hold n syllables between them, and no more than
+    # MAX_STRANDS strands reach them, so they always fit
+    assert oracle.MAX_STRANDS < oracle.MAX_SYLLABLES
+    monkeypatch.setattr(oracle, "MAX_SYLLABLES", 10)
     wide, empty = BraidWord(11, ()), BraidWord(10, ())
-    with pytest.raises(ResourceLimitError, match="11 oracle starting images exceed 10 syllables"):
-        word_image(wide, 1, max_syllables=10)
-    with pytest.raises(ResourceLimitError, match="11 oracle starting images exceed 10 syllables"):
-        oracle_equal(wide, wide, max_syllables=10)
-    assert word_image(empty, 1, max_syllables=10) == ((1, 1),)
-    assert oracle_equal(empty, empty, max_syllables=10)
-    # bad arguments are still named first
+    assert word_image(empty, 1) == ((1, 1),)
+    assert oracle_equal(empty, empty)
+    # bad arguments are named first
     with pytest.raises(ValueError):
-        word_image(wide, 12, max_syllables=10)
+        word_image(wide, 12)
     with pytest.raises(ValueError):
-        oracle_equal(wide, empty, max_syllables=10)
+        oracle_equal(wide, empty)
 
 
-def test_ceiling_bounds_all_images_together():
+def test_ceiling_bounds_all_images_together(monkeypatch):
     # sigma_1 sends x_1 to x_1 x_2 x_1^-1 and x_2 to x_1: no image passes 3
     # syllables, but the two hold 4
     word = parse_word("1", 2)
+    monkeypatch.setattr(oracle, "MAX_SYLLABLES", 3)
     with pytest.raises(ResourceLimitError, match="exceeded 3 syllables in total"):
-        word_image(word, 2, max_syllables=3)
+        word_image(word, 2)
     with pytest.raises(ResourceLimitError, match="exceeded 3 syllables in total"):
-        oracle_equal(word, word, max_syllables=3)
-    assert word_image(word, 1, max_syllables=4) == ((1, 1), (2, 1), (1, -1))
+        oracle_equal(word, word)
+    monkeypatch.setattr(oracle, "MAX_SYLLABLES", 4)
+    assert word_image(word, 1) == ((1, 1), (2, 1), (1, -1))
 
 
 def test_strand_ceiling_keeps_every_code_a_character(monkeypatch):

@@ -205,6 +205,29 @@ def test_words_equal_names_the_letter_of_the_input_word(monkeypatch):
     assert isinstance(info.value.__cause__, InternalStateError)
 
 
+def test_link_ceiling_names_the_letter_of_the_input_word(monkeypatch):
+    # at n=3, 1 -2 1 -2 1 ... grows the list to 8, 12, 21, 37, 63 links
+    monkeypatch.setattr("braidnf.gbase.MAX_LINKS", 63)
+    assert len(process_word(parse_word("2 -2 1 -2 1 -2 1", 3))[0]) == 63
+    monkeypatch.setattr("braidnf.gbase.MAX_LINKS", 62)
+    refused = r"\): list of 63 links exceeds MAX_LINKS \(62\)$"
+    # 2 -2 cancel (in the list for process_word, before the loop for
+    # normal_form), and both name letter 6 of the word, not 4 of what follows
+    word = parse_word("2 -2 1 -2 1 -2 1 -2 1", 3)
+    for decide in (process_word, normal_form):
+        with pytest.raises(ResourceLimitError, match=r"^letter 6 \(1" + refused):
+            decide(word)
+    # the common prefix 2 goes, and the first word's remainder 1 -2 1 -2 1
+    # ... passes 62 links at letter 5 of the first word
+    first = parse_word("2 1 -2 1 -2 1 -2 1 2 2", 3)
+    second = parse_word("2 2 2 1 -2 1 -2 1 -2 1", 3)
+    with pytest.raises(ResourceLimitError, match=r"^letter 5 \(1" + refused):
+        words_equal(first, second)
+    # a pure braid whose 1 1 -2 -2 1 1 grows the list to 8, 11, 18, 29, 49, 77
+    with pytest.raises(ResourceLimitError, match=r"^letter 7 \(1\): list of 77 links"):
+        is_identity(parse_word("2 -2 1 1 -2 -2 1 1 -2 -2", 3))
+
+
 def test_twist_stats_are_frozen():
     stats = process_word(parse_word("1 2", 3))[1][0]
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -206,38 +206,52 @@ def test_step_text_holds_wide_codes(n):
 
 
 @pytest.mark.parametrize(
-    "pairs, message, fused_prefix",
+    "pairs, message, fused_prefix, step_raises",
     [
         # a separator followed by (2,-1): no detach case covers it;
-        # whole_letter names the link, the Link-level reference does not
+        # whole_letter and step name the link, the Link-level reference does
+        # not
         (
             [(-1, 0), (2, -1), (1, 0), (-1, 0), (2, 0), (-1, 0)],
             r"no detachment case covers$",
             "link 1: ",
+            True,
         ),
         # a gap of two separators: not reduced, but whole_letter reduces
-        # the whole twist output, so it sees the pair
+        # the whole twist output, so it sees the pair; step copies that gap
+        # unweighed, so it returns without an error
         (
             [(-1, 0), (1, 0), (-1, 0), (-1, 0), (2, 0), (-1, 0)],
             r"^adjacent equal position-0 links \(-1,0\) at output offset 3$",
             "",
+            False,
         ),
-        # an endpoint outside the region directly before a run
+        # an endpoint outside the region directly before a run: whole_letter
+        # weighs the run's output after it, but step reduces the block apart
+        # from that gap, which it copies unweighed, so it returns without an
+        # error
         (
             [(-1, 0), (3, 0), (1, 0), (-1, 0), (2, 0), (-1, 0)],
             r"^position-0 link \(2,0\) in endpoint debris at output offset 2$",
             "",
+            False,
         ),
     ],
     ids=["detach", "equal-position-0", "endpoint-debris"],
 )
-def test_step_text_raises_what_the_single_steps_raise(pairs, message, fused_prefix):
+def test_whole_letter_raises_the_reference_error_and_step_the_detach_one(
+    pairs, message, fused_prefix, step_raises
+):
     text = text_of(pairs)
     with pytest.raises(InternalStateError, match=message) as two_steps:
         two_pass(2, text, 1, 1)
     with pytest.raises(InternalStateError) as fused:
         whole_letter(text, 1, 1)
     assert str(fused.value) == fused_prefix + str(two_steps.value)
+    if step_raises:
+        with pytest.raises(InternalStateError) as stepped:
+            engine.step(text, 1, 1)
+        assert str(stepped.value) == str(fused.value)
 
 
 @settings(max_examples=200)
