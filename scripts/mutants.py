@@ -71,6 +71,12 @@ MUTANTS = [
      "while stop < shorter - start and", "while stop < shorter and"),
     ("link ceiling never checked", "solver.py",
      "if len(text) > gbase.MAX_LINKS:", "if False:"),
+    ("visit ceiling never checked", "solver.py",
+     "if visits > gbase.MAX_VISITS:", "if False:"),
+    ("bench visit floor never checked", "bench.py",
+     "if floor > gbase.MAX_VISITS:", "if False:"),
+    ("word strand ceiling never checked", "braidword.py",
+     "check_strand_count(self.strand_count)", "None"),
     ("letter index n allowed", "braidword.py",
      "<= self.strand_count - 1:", "<= self.strand_count:"),
     ("strand counts must differ", "braidword.py",

@@ -13,6 +13,7 @@ import re
 from typing import NamedTuple
 
 from .errors import MalformedWordError
+from .gbase import check_strand_count
 
 
 class Letter(NamedTuple):
@@ -31,6 +32,7 @@ class BraidWord:
     def __post_init__(self):
         if self.strand_count < 1:
             raise MalformedWordError(f"strand count must be >= 1, got {self.strand_count}")
+        check_strand_count(self.strand_count)  # ResourceLimitError past MAX_TEXT_STRANDS
         for k, letter in enumerate(self.letters):
             if letter.sign not in (1, -1):
                 raise MalformedWordError(f"letter {k}: sign must be +1 or -1, got {letter.sign}")

@@ -17,7 +17,7 @@ with the character chr(code) per link. The twist/reduce engine works on that
 text directly; link_code and code_link are the only conversions, and Link
 tuples are built only on demand (the links property and error messages).
 One character per code caps the strand count at MAX_TEXT_STRANDS, which
-GBaseWord and standard_gbase enforce.
+BraidWord, GBaseWord and standard_gbase enforce.
 
 Conventions that make the encoding canonical:
   * a path never leaves the basepoint through a below-pass, so a separator is
@@ -65,6 +65,12 @@ MAX_TEXT_STRANDS = sys.maxunicode // 3 - 2
 # standard g-base's 2 * MAX_TEXT_STRANDS + 1 and the test suite's longest
 # list (777,215); a refused word peaks at a few hundred MB, a few seconds in
 MAX_LINKS = 10_000_000
+
+# links solver.process_word may visit over a word, its TwistStats'
+# links_visited plus reduce_links_visited: MAX_LINKS bounds memory, this
+# bounds time; above the test suite's heaviest word (16,997,337), and
+# sigma_1^k at n=2 is refused near k = 5,000 after a few seconds
+MAX_VISITS = 100_000_000
 
 
 def check_strand_count(strand_count: int) -> None:

@@ -25,19 +25,14 @@ every entry point raises ResourceLimitError instead of thrashing.
 
 from __future__ import annotations
 
-import sys
-
 from .braidword import BraidWord, check_same_strands
 from .errors import ResourceLimitError
 
 Syllable = tuple[int, int]  # (generator 1..n, exponent +1 or -1)
 
 # the syllables all n images may hold together; the n starting images fit,
-# as MAX_STRANDS is smaller
+# as a BraidWord holds at most gbase.MAX_TEXT_STRANDS strands
 MAX_SYLLABLES = 1_000_000
-
-# _images holds a syllable as one character, and x_n^-1 is chr(2n + 1)
-MAX_STRANDS = (sys.maxunicode - 1) // 2
 
 
 def _product(first: str, second: str) -> str:
@@ -64,12 +59,9 @@ def _images(word: BraidWord) -> list[str]:
     cancellation happens only at the junctions.
 
     Raises ResourceLimitError once the n images under a suffix of the word
-    hold more than MAX_SYLLABLES between them, and before anything is built
-    when a code would pass sys.maxunicode (more than MAX_STRANDS strands).
+    hold more than MAX_SYLLABLES between them.
     """
     n = word.strand_count
-    if n > MAX_STRANDS:
-        raise ResourceLimitError(f"{n} oracle strands exceed {MAX_STRANDS}")
     flip = "".join(chr(c ^ 1) for c in range(2 * n + 2))  # flip[c] is code c ^ 1
     images = [chr(2 * g) for g in range(1, n + 1)]
     total = n

@@ -3,10 +3,9 @@
 A word acts on the standard g-base letter by letter, in one loop
 (process_word) that normal_form and words_equal also run. Each letter is
 engine.step(text, index, sign), the reduction of the twist's output, so the
-list the next letter sees is always in normal form; the reduction works
-only where the twist spliced, once per distinct run block. Two words over
-the same strand count are equal exactly when their final lists are
-identical link by link. GBaseWord values appear only at the ends.
+list the next letter sees is always in normal form. Two words over the same
+strand count are equal exactly when their final lists are identical link by
+link. GBaseWord values appear only at the ends.
 apply_letter runs the same twist without the reduction, and reduce the
 reduction alone, each on a GBaseWord's text after checking it.
 
@@ -16,9 +15,9 @@ cancelling sigma_i ... sigma_i^-1 pairs across commuting letters
 (_reduced), which keeps the normal form, and words_equal those left after
 that and after stripping the common prefix and suffix. An
 InternalStateError names the letter by its position in that word, as does
-the ResourceLimitError of a list past gbase.MAX_LINKS links. The callers
-look process_word up by name, so braidbench/spans.py, which traces it,
-counts every run of the loop.
+the ResourceLimitError of a list past gbase.MAX_LINKS links or of work past
+gbase.MAX_VISITS links visited. The callers look process_word up by name,
+so braidbench/spans.py, which traces it, counts every run of the loop.
 """
 
 from __future__ import annotations
@@ -29,19 +28,18 @@ from typing import Sequence
 from . import engine, gbase
 from .braidword import BraidWord, Letter, check_same_strands, permutation_of_word
 from .errors import InternalStateError, ResourceLimitError
-from .gbase import GBaseWord, check_strand_count, require_valid, standard_gbase, twist_violation
+from .gbase import GBaseWord, require_valid, standard_gbase, twist_violation
 
 
 @dataclasses.dataclass(frozen=True)
 class TwistStats:
     """Work counters for one generator application.
 
-    They count the scan of the whole letter, which engine.step reproduces
-    without running it: the twist of the whole list, then reduce_codes over
-    all of its output. links_visited is the input length and links_inserted
-    the links the twist added. The reduce_* fields are those of that
-    link-by-link reduction, though step weighs only the distinct run
-    blocks.
+    They count the scan of the whole letter: the twist of the whole list,
+    then reduce_codes over all of its output, which engine.step reproduces
+    without running it. links_visited is the input length, links_inserted
+    the links the twist added, and the reduce_* fields are those of that
+    link-by-link reduction.
     """
     links_visited: int = 0
     links_inserted: int = 0
@@ -84,23 +82,21 @@ def process_word(
 ) -> tuple[GBaseWord, list[TwistStats]]:
     """Act on the standard g-base with each letter, reducing after every step.
 
-    Returns the final reduced g-base and one stats record per letter (twist
-    counters plus the reduce counters of the normalization that followed).
-    More than gbase.MAX_TEXT_STRANDS strands raise ResourceLimitError, and
-    so does a list of more than gbase.MAX_LINKS links after any letter.
+    Returns the final reduced g-base and one TwistStats record per letter.
+    After any letter, a list of more than gbase.MAX_LINKS links raises
+    ResourceLimitError, and so does a running total of links_visited plus
+    reduce_links_visited past gbase.MAX_VISITS.
 
-    This is the loop every word-level function runs. Each letter is
-    engine.step, which returns engine.reduce_codes(engine.twist(...)), so
-    the next letter sees the normal form. The reduction weighs only where
-    the twist spliced, with the counters of a full scan. The inserts follow
-    by conservation: the twist's output holds the input's links plus the
-    inserts, and the reduced text is that minus the deletions. normal_form and
-    words_equal pass the positions of the letters to apply, in order, as
-    _positions (all of them by default), so an error names the letter by its
-    position k in word and its value.
+    This is the loop every word-level function runs, one engine.step per
+    letter. The inserts follow by conservation: the twist's output holds
+    the input's links plus the inserts, and the reduced text is that minus
+    the deletions. normal_form and words_equal pass the positions of the
+    letters to apply, in order, as _positions (all of them by default), so
+    an error names the letter by its position k in word and its value.
     """
     text = standard_gbase(word.strand_count).text
     per_letter: list[TwistStats] = []
+    visits = 0
     for k in range(len(word.letters)) if _positions is None else _positions:
         index, sign = word.letters[k]
         length = len(text)
@@ -110,6 +106,10 @@ def process_word(
             raise InternalStateError(f"letter {k} ({index * sign}): {error}") from error
         if len(text) > gbase.MAX_LINKS:
             message = f"list of {len(text)} links exceeds MAX_LINKS ({gbase.MAX_LINKS})"
+            raise ResourceLimitError(f"letter {k} ({index * sign}): {message}")
+        visits += length + visited
+        if visits > gbase.MAX_VISITS:
+            message = f"{visits} links visited exceed MAX_VISITS ({gbase.MAX_VISITS})"
             raise ResourceLimitError(f"letter {k} ({index * sign}): {message}")
         per_letter.append(TwistStats(length, len(text) + deleted - length, visited, deleted))
     return GBaseWord(word.strand_count, text), per_letter
@@ -155,9 +155,8 @@ def normal_form(word: BraidWord) -> GBaseWord:
 def words_equal(first: BraidWord, second: BraidWord) -> bool:
     """Decide equality in the braid group by comparing normal forms.
 
-    Mismatched strand counts raise MalformedWordError, and more than
-    gbase.MAX_TEXT_STRANDS strands raise ResourceLimitError, before anything
-    else. Then a pre-pass applies group laws only, so it cannot change the
+    Mismatched strand counts raise MalformedWordError before anything else.
+    Then a pre-pass applies group laws only, so it cannot change the
     verdict:
 
     1. answer false if the permutations differ, since the normal form
@@ -170,7 +169,6 @@ def words_equal(first: BraidWord, second: BraidWord) -> bool:
        letter's index in first or second.
     """
     check_same_strands(first, second)
-    check_strand_count(first.strand_count)
     if permutation_of_word(first) != permutation_of_word(second):
         return False
     a, b = first.letters, second.letters

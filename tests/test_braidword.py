@@ -14,8 +14,10 @@ from braidnf.braidword import (
     parse_word,
     permutation_of_word,
 )
-from braidnf.errors import MalformedWordError
+from braidnf.errors import MalformedWordError, ResourceLimitError
+from braidnf.gbase import MAX_TEXT_STRANDS
 from braidnf.oracle import oracle_equal
+from braidnf.prng import SplitMix64, random_word
 from braidnf.solver import words_equal
 
 from conftest import braid_words, word_from_ints
@@ -88,6 +90,23 @@ def test_constructor_rejects_out_of_range_letters():
         BraidWord(3, (Letter(3, 1),))
     with pytest.raises(MalformedWordError):
         BraidWord(2, (Letter(1, 2),))
+
+
+def test_constructor_refuses_strands_past_the_text_range(monkeypatch):
+    # the one strand ceiling of both routes, held by the word itself
+    n = MAX_TEXT_STRANDS + 1
+    for build in (lambda: BraidWord(n, ()), lambda: parse_word("", n),
+                  lambda: random_word(n, 0, SplitMix64(1))):
+        with pytest.raises(ResourceLimitError, match=f"^strand count {n} exceeds {n - 1}$"):
+            build()
+    assert BraidWord(MAX_TEXT_STRANDS, ()).strand_count == MAX_TEXT_STRANDS
+    # read at each call, after the word's own check of n >= 1
+    monkeypatch.setattr("braidnf.gbase.MAX_TEXT_STRANDS", 3)
+    assert len(parse_word("1 2", 3)) == 2
+    with pytest.raises(ResourceLimitError, match="^strand count 4 exceeds 3$"):
+        parse_word("1 2", 4)
+    with pytest.raises(MalformedWordError, match="strand count must be >= 1"):
+        BraidWord(0, ())
 
 
 @pytest.mark.parametrize("combine", [words_equal, oracle_equal, concat])

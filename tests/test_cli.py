@@ -4,7 +4,7 @@ import pytest
 
 from braidnf import cli, engine
 from braidnf.braidword import parse_word
-from braidnf.bench import bench_rows
+from braidnf.bench import CSV_HEADER, bench_rows
 from braidnf.cli import main
 from braidnf.errors import InternalStateError, MalformedWordError, ResourceLimitError
 from braidnf.gbase import MAX_TEXT_STRANDS, format_gbase
@@ -132,6 +132,16 @@ def test_strand_count_beyond_the_engine_exits_2(capsys):
     assert strands in err
 
 
+def test_every_verb_refuses_strands_past_the_text_range(capsys):
+    strands = str(MAX_TEXT_STRANDS + 1)
+    refused = f"braidnf: error: strand count {strands} exceeds {MAX_TEXT_STRANDS}\n"
+    for verb, *rest in (["normal-form", "1"], ["identity", "1 -1"], ["equal", "1", "1"],
+                        ["oracle-equal", "1", "1"],
+                        ["bench", "--length", "0", "--count", "0", "--seed", "1"]):
+        code, out, err = run(capsys, verb, "--strands", strands, *rest)
+        assert (code, out, err) == (2, "", refused), verb
+
+
 def test_link_ceiling_exits_2(monkeypatch, capsys):
     # at n=3, 1 -2 1 -2 1 grows the list to 8, 12, 21, 37, 63 links
     monkeypatch.setattr("braidnf.gbase.MAX_LINKS", 62)
@@ -145,6 +155,48 @@ def test_link_ceiling_exits_2(monkeypatch, capsys):
                          "--count", "2", "--seed", "7")
     assert (code, out) == (2, "")
     assert err.startswith("braidnf: error: letter ") and "exceeds MAX_LINKS (62)" in err
+
+
+def test_visit_ceiling_exits_2(monkeypatch, capsys):
+    # at n=3, 1 -2 1 -2 1 visits 294 links over its five letters
+    monkeypatch.setattr("braidnf.gbase.MAX_VISITS", 293)
+    refused = "letter 4 (1): 294 links visited exceed MAX_VISITS (293)"
+    for argv in (["normal-form", "--strands", "3", "1 -2 1 -2 1"],
+                 ["equal", "--strands", "3", "1 -2 1 -2 1 2 2", "2 2 1 -2 1 -2 1"],
+                 ["identity", "--strands", "3", "1 -2 1 -2 1 -2"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"braidnf: error: {refused}\n"), argv
+    # 32 letters visit at least 32 * 7 links, under the ceiling, so the loop refuses
+    code, out, err = run(capsys, "bench", "--strands", "3", "--length", "32",
+                         "--count", "2", "--seed", "7")
+    assert (code, out) == (2, "")
+    assert err.startswith("braidnf: error: letter ") and "exceed MAX_VISITS (293)" in err
+
+
+def test_bench_refuses_words_past_the_visit_floor_before_drawing(monkeypatch, capsys):
+    # each letter visits at least its input list, which holds at least the
+    # 2n + 1 links of the standard g-base: 10 letters at n=3 visit at least 70
+    monkeypatch.setattr("braidnf.gbase.MAX_VISITS", 70)
+    code, out, err = run(capsys, "bench", "--strands", "3", "--length", "10",
+                         "--count", "0", "--seed", "1")
+    assert (code, out) == (0, CSV_HEADER + "\n")
+    monkeypatch.setattr("braidnf.gbase.MAX_VISITS", 69)
+    refused = ("braidnf: error: 10 letters over 3 strands visit at least 70 links, "
+               "which exceed MAX_VISITS (69)\n")
+    for count in ("0", "1"):
+        code, out, err = run(capsys, "bench", "--strands", "3", "--length", "10",
+                             "--count", count, "--seed", "1")
+        assert (code, out, err) == (2, "", refused), count
+    with pytest.raises(ResourceLimitError, match="visit at least 70 links"):
+        bench_rows(3, 10, 0, 1)
+    # under the real ceiling, at the most strands a word may hold, 135
+    # letters are refused and 134 are not (count 0 draws nothing either way)
+    monkeypatch.undo()
+    n = MAX_TEXT_STRANDS
+    assert 134 * (2 * n + 1) <= 10**8 < 135 * (2 * n + 1)
+    assert bench_rows(n, 134, 0, 1) == []
+    with pytest.raises(ResourceLimitError, match=r"exceed MAX_VISITS \(100000000\)$"):
+        bench_rows(n, 135, 0, 1)
 
 
 def test_internal_error_exits_3_and_prints_no_verdict(monkeypatch, capsys):

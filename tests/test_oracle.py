@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from braidnf import oracle
 from braidnf.braidword import BraidWord, Letter, concat, inverse, parse_word
 from braidnf.errors import ResourceLimitError
+from braidnf.gbase import MAX_TEXT_STRANDS
 from braidnf.oracle import oracle_equal, word_image
 
 from conftest import braid_words, reference_word_image, word_from_ints
@@ -135,9 +136,9 @@ def test_oracle_equal_ceiling_raises(monkeypatch):
 
 
 def test_ceiling_covers_the_starting_images(monkeypatch):
-    # the n starting images hold n syllables between them, and no more than
-    # MAX_STRANDS strands reach them, so they always fit
-    assert oracle.MAX_STRANDS < oracle.MAX_SYLLABLES
+    # the n starting images hold n syllables between them, and no word holds
+    # more than MAX_TEXT_STRANDS strands, so they always fit
+    assert MAX_TEXT_STRANDS < oracle.MAX_SYLLABLES
     monkeypatch.setattr(oracle, "MAX_SYLLABLES", 10)
     wide, empty = BraidWord(11, ()), BraidWord(10, ())
     assert word_image(empty, 1) == ((1, 1),)
@@ -162,16 +163,14 @@ def test_ceiling_bounds_all_images_together(monkeypatch):
     assert word_image(word, 1) == ((1, 1), (2, 1), (1, -1))
 
 
-def test_strand_ceiling_keeps_every_code_a_character(monkeypatch):
-    # x_n^-1 is held as chr(2n + 1)
-    assert 2 * oracle.MAX_STRANDS + 1 <= sys.maxunicode < 2 * oracle.MAX_STRANDS + 3
-    empty = BraidWord(oracle.MAX_STRANDS + 1, ())
-    with pytest.raises(ResourceLimitError, match=f"{oracle.MAX_STRANDS + 1} oracle strands"):
-        oracle_equal(empty, empty)
-    monkeypatch.setattr(oracle, "MAX_STRANDS", 3)
-    with pytest.raises(ResourceLimitError, match="4 oracle strands exceed 3"):
-        word_image(parse_word("3", 4), 1)
-    assert word_image(parse_word("2 1", 3), 3) == ((1, 1),)
+def test_strand_ceiling_keeps_every_code_a_character():
+    # x_n^-1 is held as chr(2n + 1), and the word refuses more strands than
+    # the g-base text can code, which is fewer
+    assert 2 * MAX_TEXT_STRANDS + 1 <= sys.maxunicode
+    n = MAX_TEXT_STRANDS
+    assert word_image(BraidWord(n, (Letter(n - 1, -1),)), n) == ((n, -1), (n - 1, 1), (n, 1))
+    with pytest.raises(ResourceLimitError, match=f"strand count {n + 1} exceeds {n}"):
+        BraidWord(n + 1, ())
 
 
 def assert_images_match_reference(word):

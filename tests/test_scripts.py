@@ -27,6 +27,33 @@ def test_doubling_experiment_runs():
     assert "spread" in result.stdout
 
 
+def test_doubling_experiment_predicts_a_floor_under_the_visits():
+    result = subprocess.run(
+        [
+            sys.executable,
+            "scripts/doubling_experiment.py",
+            "--predicted",
+            "--count", "2",
+            "--strands", "3",
+            "--lengths", "4", "8",
+            "--length", "4",
+            "--strand-counts", "2", "4",
+        ],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "predicted floor fit exponent:" in result.stdout
+    assert "spread (max/min of mean predicted floor):" in result.stdout
+    rows = [line.split() for line in result.stdout.splitlines() if line[:6].strip().isdigit()]
+    assert len(rows) == 4
+    # each letter visits its input in the twist and again in the reduction
+    # of the longer output, so twice the predicted input lengths is a floor
+    assert all(0 < float(row[-1]) <= 1 for row in rows), result.stdout
+
+
 def load_mutants():
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
     mutants = importlib.util.module_from_spec(spec)

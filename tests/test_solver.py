@@ -228,6 +228,28 @@ def test_link_ceiling_names_the_letter_of_the_input_word(monkeypatch):
         is_identity(parse_word("2 -2 1 1 -2 -2 1 1 -2 -2", 3))
 
 
+def test_visit_ceiling_names_the_letter_of_the_input_word(monkeypatch):
+    # at n=3, 1 -2 1 -2 1 visits 25, 33, 46, 73 and 117 links, 294 in all
+    word = parse_word("1 -2 1 -2 1", 3)
+    monkeypatch.setattr("braidnf.gbase.MAX_VISITS", 294)
+    assert len(process_word(word)[1]) == 5
+    monkeypatch.setattr("braidnf.gbase.MAX_VISITS", 293)
+    refused = r" links visited exceed MAX_VISITS \(293\)$"
+    with pytest.raises(ResourceLimitError, match=r"^letter 4 \(1\): 294" + refused):
+        process_word(word)
+    # 2 -2 cancel before normal_form's loop, so it visits the same 294
+    # links; process_word runs them too and visits 51 more; both name letter 6
+    longer = parse_word("2 -2 1 -2 1 -2 1", 3)
+    with pytest.raises(ResourceLimitError, match=r"^letter 6 \(1\): 294" + refused):
+        normal_form(longer)
+    with pytest.raises(ResourceLimitError, match=r"^letter 6 \(1\): 345" + refused):
+        process_word(longer)
+    # no common prefix or suffix: the first word runs whole
+    first, second = parse_word("1 -2 1 -2 1 2 2", 3), parse_word("2 2 1 -2 1 -2 1", 3)
+    with pytest.raises(ResourceLimitError, match=r"^letter 4 \(1\): 294" + refused):
+        words_equal(first, second)
+
+
 def test_twist_stats_are_frozen():
     stats = process_word(parse_word("1 2", 3))[1][0]
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -383,13 +405,13 @@ def test_stripped_prefix_and_suffix_never_overlap():
 
 
 def test_strand_limit_comes_before_the_pre_pass():
-    word = parse_word("1", MAX_TEXT_STRANDS + 1)
-    with pytest.raises(ResourceLimitError):
-        words_equal(word, word)
-    with pytest.raises(ResourceLimitError):
-        is_identity(parse_word("1 -1", MAX_TEXT_STRANDS + 1))
+    # the word refuses the strand count when it is built, so neither
+    # verdict function sees one past the ceiling
+    for text in ("1", "1 -1"):
+        with pytest.raises(ResourceLimitError, match=f"exceeds {MAX_TEXT_STRANDS}$"):
+            parse_word(text, MAX_TEXT_STRANDS + 1)
     with pytest.raises(ValueError):
-        words_equal(word, parse_word("1", 2))
+        words_equal(parse_word("1", 3), parse_word("1", 2))
 
 
 def test_long_words_agree_with_the_oracle(process_word_calls):
