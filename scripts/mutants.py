@@ -82,9 +82,12 @@ MUTANTS = [
     ("strand counts must differ", "braidword.py",
      "if first.strand_count != second.strand_count:",
      "if first.strand_count == second.strand_count:"),
-    ("oracle sigma^-1 conjugated on the wrong side", "oracle.py",
-     "grown = _product(_product(right[::-1].translate(flip), here), right)",
-     "grown = _product(_product(right, here), right[::-1].translate(flip))"),
+    ("oracle sigma^-1 conjugates by c_{i+1}", "oracle.py",
+     "else flip[ord(generators[p])]", "else generators[p]"),
+    ("oracle keeps a trailing c_q in the conjugator", "oracle.py",
+     "grown = grown.rstrip(c + flip[ord(c)])", "pass"),
+    ("oracle junction cancellation skipped", "oracle.py",
+     "elif there[t:t + 1] != flip[ord(y)]:", "elif True:"),
     ("oracle syllable ceiling never checked", "oracle.py",
      "if total > MAX_SYLLABLES:", "if False:"),
 ]

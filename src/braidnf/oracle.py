@@ -10,13 +10,14 @@ action is the standard substitution
     sigma_i inverse: x_i -> x_{i+1},              x_{i+1} -> x_{i+1}^-1 x_i x_{i+1}
 
 with all other generators fixed. The letters act left to right, so the image
-under a word w = l_1 ... l_L is phi_L(...phi_1(x)...), with each phi applied
-to every syllable. The images are built the other way round, in one pass over
-the letters from last to first that keeps the images of all n generators and
-joins whole images at each letter; only the order of evaluation differs from
-substituting letter by letter. Loop-orientation conventions differ between
-this action and the g-base engine, which is fine: equality verdicts are
-convention independent, so the oracle certifies verdicts, never link lists.
+under a word w = l_1 ... l_L is phi_L(...phi_1(x)...). By the same theorem a
+braid sends each generator to a conjugate of a generator, so an image is
+held as a conjugator W and a generator c: the reduced image is W c W^-1,
+with W reduced and not ending in c^+-1. One pass over the letters from last
+to first updates the n pairs, each letter with one common-prefix scan.
+Loop-orientation conventions differ between this action and the g-base
+engine, which is fine: equality verdicts are convention independent, so the
+oracle certifies verdicts, never link lists.
 
 Images can grow exponentially in the word length, so the images of all n
 generators together may hold at most MAX_SYLLABLES syllables; past that
@@ -35,50 +36,62 @@ Syllable = tuple[int, int]  # (generator 1..n, exponent +1 or -1)
 MAX_SYLLABLES = 1_000_000
 
 
-def _product(first: str, second: str) -> str:
-    """Free product of two reduced words: cancel at the junction."""
-    k = 0
-    limit = min(len(first), len(second))
-    while k < limit and ord(first[-1 - k]) ^ ord(second[k]) == 1:
-        k += 1
-    return first[: len(first) - k] + second[k:]
+def _common_prefix(first: str, second: str) -> int:
+    """Length of the common prefix, bisected with slice comparisons; most
+    conjugator pairs share all of the shorter one, so that is probed first."""
+    low, high = 0, min(len(first), len(second))
+    probe = high
+    while low < high:
+        if first[low:probe] == second[low:probe]:
+            low = probe
+        else:
+            high = probe - 1
+        probe = (low + high + 1) // 2
+    return low
 
 
-def _images(word: BraidWord) -> list[str]:
-    """Images of x_1..x_n under the whole word, freely reduced.
+def _images(word: BraidWord) -> tuple[list[str], list[str]]:
+    """Conjugators W and generators c of the images W c W^-1 of x_1..x_n.
 
-    An image is a str with one character per syllable: x_g^e is chr(2g) for
-    e = +1 and chr(2g + 1) for e = -1, so inverting a syllable flips the low
-    bit of its code and inverting an image reverses it and flips every code.
-    With A_j the action of letters j..L, A_j = A_{j+1} o phi_j, so one pass
-    over the letters from last to first builds all n images at once, each
-    step recombining whole images: for sigma_i, A(x_i) becomes
-    A(x_i) A(x_{i+1}) A(x_i)^-1 and A(x_{i+1}) the old A(x_i); for its
-    inverse, A(x_i) becomes the old A(x_{i+1}) and A(x_{i+1}) becomes
-    A(x_{i+1})^-1 A(x_i) A(x_{i+1}). Both factors are reduced, so free
-    cancellation happens only at the junctions.
+    A syllable is one character: x_g^e is chr(2g) for e = +1 and chr(2g + 1)
+    for e = -1, so inverting a word reverses it and flips each code's low
+    bit. With A_j the action of letters j..L, A_j = A_{j+1} o phi_j. For
+    sigma_i^s let (p, q, y) = (i, i+1, c_i) if s = +1 and (i+1, i, c_{i+1}^-1)
+    if s = -1: the new A(x_p) is V c_q V^-1, V = W_p y W_p^-1 W_q reduced,
+    and the new A(x_q) the old A(x_p). Past t, the common prefix of W_p and
+    W_q, V is reduced as written, unless W_p is a prefix of W_q and W_q[t]
+    is y^-1; then it cancels at the one junction of W_p and W_q[t+1:].
 
     Raises ResourceLimitError once the n images under a suffix of the word
     hold more than MAX_SYLLABLES between them.
     """
     n = word.strand_count
     flip = "".join(chr(c ^ 1) for c in range(2 * n + 2))  # flip[c] is code c ^ 1
-    images = [chr(2 * g) for g in range(1, n + 1)]
-    total = n
+    conjugators = [""] * n
+    generators = [chr(2 * g) for g in range(1, n + 1)]
+    total = n  # the syllables of all images, 2|W| + 1 each
     for letter in reversed(word.letters):
         i = letter.index - 1
-        here, right = images[i], images[i + 1]
-        if letter.sign > 0:
-            grown = _product(_product(here, right), here[::-1].translate(flip))
-            images[i], images[i + 1] = grown, here
-            total += len(grown) - len(right)
+        p, q = (i, i + 1) if letter.sign > 0 else (i + 1, i)
+        y = generators[p] if letter.sign > 0 else flip[ord(generators[p])]
+        here, there = conjugators[p], conjugators[q]
+        t = _common_prefix(here, there)
+        if t < len(here):
+            grown = here + y + here[t:][::-1].translate(flip) + there[t:]
+        elif there[t:t + 1] != flip[ord(y)]:
+            grown = here + y + there[t:]
         else:
-            grown = _product(_product(right[::-1].translate(flip), here), right)
-            images[i], images[i + 1] = right, grown
-            total += len(grown) - len(here)
+            rest = there[t + 1:]
+            k = _common_prefix(here[::-1].translate(flip), rest)
+            grown = here[: len(here) - k] + rest[k:]
+        c = generators[q]
+        grown = grown.rstrip(c + flip[ord(c)])  # V c V^-1 cancels any c^+-1 ending V
+        conjugators[p], conjugators[q] = grown, here
+        generators[p], generators[q] = c, generators[p]
+        total += 2 * (len(grown) - len(there))
         if total > MAX_SYLLABLES:
             raise ResourceLimitError(f"oracle images exceeded {MAX_SYLLABLES} syllables in total")
-    return images
+    return conjugators, generators
 
 
 def word_image(word: BraidWord, gen: int) -> tuple[Syllable, ...]:
@@ -87,12 +100,15 @@ def word_image(word: BraidWord, gen: int) -> tuple[Syllable, ...]:
     all other generators, so MAX_SYLLABLES bounds them all together."""
     if not 1 <= gen <= word.strand_count:
         raise ValueError(f"generator {gen} out of range for {word.strand_count} strands")
-    image = _images(word)[gen - 1]
-    return tuple((c >> 1, -1 if c & 1 else 1) for c in map(ord, image))
+    conjugators, generators = _images(word)
+    conjugator = [ord(s) for s in conjugators[gen - 1]]
+    codes = conjugator + [ord(generators[gen - 1])] + [c ^ 1 for c in reversed(conjugator)]
+    return tuple((c >> 1, -1 if c & 1 else 1) for c in codes)
 
 
 def oracle_equal(first: BraidWord, second: BraidWord) -> bool:
     """True iff both words act identically on every free-group generator;
-    mismatched strand counts raise MalformedWordError."""
+    mismatched strand counts raise MalformedWordError. An image determines
+    its conjugator and generator, so the pairs are compared unexpanded."""
     check_same_strands(first, second)
     return _images(first) == _images(second)

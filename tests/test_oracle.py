@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidnf import oracle
-from braidnf.braidword import BraidWord, Letter, concat, inverse, parse_word
+from braidnf.braidword import BraidWord, Letter, concat, inverse, parse_word, permutation_of_word
 from braidnf.errors import ResourceLimitError
 from braidnf.gbase import MAX_TEXT_STRANDS
+from braidnf.prng import SplitMix64, random_word
 from braidnf.oracle import oracle_equal, word_image
 
 from conftest import braid_words, reference_word_image, word_from_ints
@@ -173,6 +174,12 @@ def test_strand_ceiling_keeps_every_code_a_character():
         BraidWord(n + 1, ())
 
 
+def verdict_size_word():
+    rng = random.Random(48)
+    values = [rng.randint(1, 7) * rng.choice((1, -1)) for _ in range(48)]
+    return word_from_ints(8, values)
+
+
 def assert_images_match_reference(word):
     for gen in range(1, word.strand_count + 1):
         assert word_image(word, gen) == reference_word_image(word, gen)
@@ -185,6 +192,39 @@ def test_images_match_left_to_right_reference(word):
 
 
 def test_images_match_reference_at_verdict_size():
-    rng = random.Random(48)
-    values = [rng.randint(1, 7) * rng.choice((1, -1)) for _ in range(48)]
-    assert_images_match_reference(word_from_ints(8, values))
+    assert_images_match_reference(verdict_size_word())
+
+
+def test_images_match_reference_through_long_cancellations():
+    # at n=4, L=48 the images of these 11 words hold ~5.5e4 syllables, and
+    # about one junction in five of the substitution cancels 64 or more
+    # syllables (up to ~4,600), where the conjugators' common prefixes are long
+    words = [random_word(4, 48, SplitMix64(seed)) for seed in range(11)]
+    images = [[word_image(w, gen) for gen in range(1, 5)] for w in words]
+    assert sum(len(image) for row in images for image in row) >= 10**4
+    for word, row in zip(words, images):
+        assert row == [reference_word_image(word, gen) for gen in range(1, 5)]
+
+
+def assert_conjugates_of_generators(word):
+    # Artin: a braid sends each x_g to W x_h W^-1, h running over a
+    # permutation of the generators, the word's permutation of the punctures
+    middles = []
+    for gen in range(1, word.strand_count + 1):
+        image = word_image(word, gen)
+        half, odd = divmod(len(image), 2)
+        assert odd == 1
+        assert image[half + 1:] == tuple((g, -e) for g, e in reversed(image[:half]))
+        assert image[half][1] == 1
+        middles.append(image[half][0])
+    assert tuple(middles) == permutation_of_word(word)
+
+
+@settings(max_examples=150, deadline=None)
+@given(braid_words(min_strands=2, max_strands=8, max_length=24))
+def test_images_are_conjugates_of_generators(word):
+    assert_conjugates_of_generators(word)
+
+
+def test_images_are_conjugates_of_generators_at_verdict_size():
+    assert_conjugates_of_generators(verdict_size_word())
