@@ -9,8 +9,8 @@ from braidnf import oracle
 from braidnf.braidword import BraidWord, Letter, concat, inverse, parse_word, permutation_of_word
 from braidnf.errors import ResourceLimitError
 from braidnf.gbase import MAX_TEXT_STRANDS
-from braidnf.prng import SplitMix64, random_word
 from braidnf.oracle import oracle_equal, word_image
+from braidnf.prng import SplitMix64, random_word
 
 from conftest import braid_words, reference_word_image, word_from_ints
 
