@@ -49,8 +49,8 @@ MUTANTS = [
      "pre_left = text((index, -sign), (index + 1, -sign))",
      "pre_left = text((index + 1, -sign), (index, -sign))"),
     ("post connector not reversed", "engine.py",
-     "dict.fromkeys(left, pre_left[::-1]), pre_right[::-1])",
-     "dict.fromkeys(left, pre_left[::-1]), pre_right)"),
+     "dict.fromkeys(left, pre_left[::-1]), pre_right[::-1],",
+     "dict.fromkeys(left, pre_left[::-1]), pre_right,"),
     ("detach link (q,-1) dropped", "engine.py",
      "= below + text((q, -1))", "= below"),
     ("block key without the link after the run", "engine.py",
@@ -59,6 +59,23 @@ MUTANTS = [
     ("block key without the link before the run", "engine.py",
      "key = parts[p - 1][-1], parts[p], parts[p + 1][0]",
      "key = parts[p], parts[p + 1][0]"),
+    ("frame key without the sign", "engine.py",
+     'frame = (sign, "".join(key).translate(to_frame)) if window else None',
+     'frame = "".join(key).translate(to_frame) if window else None'),
+    ("frame window check skipped", "engine.py",
+     "window = ord(key[0]) in to_frame and ord(key[2]) in to_frame",
+     "window = True"),
+    ("frame shift maps a window code onto the separator", "engine.py",
+     "shift = 3 * index - 3", "shift = 3 * index"),
+    ("block stored before the vanishing check", "engine.py",
+     "                if not block[0]:\n"
+     "                    return reduce_codes(twist(text, index, sign))\n"
+     "                if frame and len(_FRAME_BLOCKS) < MAX_BLOCKS:\n"
+     "                    _FRAME_BLOCKS[frame] = block[0].translate(to_frame), block[1], block[2]\n",
+     "                if frame and len(_FRAME_BLOCKS) < MAX_BLOCKS:\n"
+     "                    _FRAME_BLOCKS[frame] = block[0].translate(to_frame), block[1], block[2]\n"
+     "                if not block[0]:\n"
+     "                    return reduce_codes(twist(text, index, sign))\n"),
     ("inserts not conserved", "solver.py",
      "len(text) + deleted - length", "len(text) - length"),
     ("_reduced across a neighbour", "solver.py",

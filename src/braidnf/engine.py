@@ -23,8 +23,9 @@ links and the connectors) from one cached table of text, _twist_rules(index,
 sign), and rewrites each run with _twist_run. reduce_codes(text) weighs the
 links one by one onto a stack of characters. step(text, index, sign), one
 letter of solver.process_word, returns reduce_codes(twist(text, index,
-sign)) but reduces only each distinct run block, once per call, and copies
-the gaps between runs unweighed. These functions trust their input: that
+sign)) but reduces only each distinct run block, once per call and, shifted
+into the frame of index 1, once per process, and copies the gaps between
+runs unweighed. These functions trust their input: that
 loop starts from the standard g-base and feeds each reduced output back in,
 and solver.apply_letter and solver.reduce call require_valid first. Their
 counters fill solver.TwistStats. A code is a character only up to
@@ -107,12 +108,19 @@ def reduce_codes(text: str) -> tuple[str, int, int]:
     return "".join(stack), len(text) + near_passes, deleted + near_passes
 
 
+# step's frame table: (sign, frame key) -> (frame block, visited, deleted);
+# it stops growing at MAX_BLOCKS entries and never evicts
+MAX_BLOCKS = 4096
+_FRAME_BLOCKS: dict[tuple[int, str], tuple[str, int, int]] = {}
+
+
 @functools.lru_cache(maxsize=2048)
 def _twist_rules(index: int, sign: int) -> tuple[
-    re.Pattern[str], dict[int, int], dict[str, str], dict[str, str], str, dict[str, str], str
+    re.Pattern[str], dict[int, int], dict[str, str], dict[str, str], str, dict[str, str], str,
+    dict[int, int], dict[int, int]
 ]:
     """All of one letter's twist rules, as text: (pattern, rotation, detach,
-    pre, pre_right, post, post_right).
+    pre, pre_right, post, post_right, to_frame, from_frame).
 
     Splitting on `pattern` isolates the runs, the maximal blocks of links at
     points i and i+1; `[a-f][a-f]*` splits exactly as `[a-f]+` does, but
@@ -133,6 +141,9 @@ def _twist_rules(index: int, sign: int) -> tuple[
     neighbouring link: below for a neighbour at point i-1, which `pre` and
     `post` map to it, and above for any other (pre_right, post_right),
     mirrored for a negative twist. A post connector is the pre one reversed.
+
+    `to_frame` shifts the codes of points i-1..i+2 down by 3(i-1), into the
+    frame of index 1, and keeps the separator; `from_frame` shifts them back.
     """
     def text(*links: tuple[int, int]) -> str:
         return "".join(chr(link_code(point, position)) for point, position in links)
@@ -151,8 +162,12 @@ def _twist_rules(index: int, sign: int) -> tuple[
     left = [text((index - 1, position)) for position in (-1, 0, 1)]
     pre_left = text((index, -sign), (index + 1, -sign))
     pre_right = text((index + 1, sign), (index, sign))
+    shift = 3 * index - 3
+    to_frame = {code: code - shift for code in range(lo - 3, lo + 9)}
+    to_frame[SEPARATOR_CODE] = SEPARATOR_CODE
+    from_frame = {code: code + shift for code in range(3, 15)}
     return (pattern, rotation, detach, dict.fromkeys(left, pre_left), pre_right,
-            dict.fromkeys(left, pre_left[::-1]), pre_right[::-1])
+            dict.fromkeys(left, pre_left[::-1]), pre_right[::-1], to_frame, from_frame)
 
 
 def twist(text: str, index: int, sign: int) -> str:
@@ -194,7 +209,7 @@ def twist(text: str, index: int, sign: int) -> str:
 def _twist_run(rules: tuple, parts: list[str], p: int) -> str:
     """The text that replaces the run parts[p] of a split list: its detach
     link after a separator, the pre connector, the run rotated, the post one."""
-    _, rotation, detach, pre, pre_right, post, post_right = rules
+    _, rotation, detach, pre, pre_right, post, post_right = rules[:7]
     before, run, after = parts[p - 1][-1], parts[p], parts[p + 1][0]
     lead = ""
     if before == chr(SEPARATOR_CODE):
@@ -214,7 +229,8 @@ def _twist_run(rules: tuple, parts: list[str], p: int) -> str:
 
 def step(text: str, index: int, sign: int) -> tuple[str, int, int]:
     """reduce_codes(twist(text, index, sign)), text and counters, with each
-    distinct run block reduced once, in a dict local to the call.
+    distinct run block reduced once, in a dict local to the call, and each
+    block seen in the frame of index 1 reduced once per process.
 
     A block, the text _twist_run puts in place of one run, is fixed by the
     link before the run, the run and the link after it. It reduces on its
@@ -228,8 +244,19 @@ def step(text: str, index: int, sign: int) -> tuple[str, int, int]:
     `visited` as the whole letter's scan counts it. A block that reduces to
     nothing would bring its two neighbours together, so then the whole
     letter is reduced instead.
+
+    A block whose neighbours are separators or lie at points i-1..i+2 holds
+    only codes of those points and the separator. Shifting them by 3(i-1)
+    turns _twist_rules(i, sign) into _twist_rules(1, sign), and reduce_codes
+    compares codes only for equality, point, position and the separator, so
+    the reduced block, shifted back, and its counters do not depend on i.
+    Such a block, on its first miss in a call, is looked up by sign and
+    frame key in _FRAME_BLOCKS, a memo of that pure function shared by
+    every call, and stored there once reduced. A block that raises or
+    vanishes is never stored.
     """
     rules = _twist_rules(index, sign)
+    to_frame, from_frame = rules[7:]
     parts = rules[0].split(text)
     blocks: dict[tuple[str, str, str], tuple[str, int, int]] = {}
     out = [parts[0]]
@@ -238,11 +265,20 @@ def step(text: str, index: int, sign: int) -> tuple[str, int, int]:
         key = parts[p - 1][-1], parts[p], parts[p + 1][0]
         block = blocks.get(key)
         if block is None:
-            lead = chr(SEPARATOR_CODE) if parts[p - 1][-1] == chr(SEPARATOR_CODE) else ""
-            reduced, seen, gone = reduce_codes(lead + _twist_run(rules, parts, p))
-            if len(reduced) == len(lead):
-                return reduce_codes(twist(text, index, sign))
-            block = blocks[key] = reduced[len(lead):], seen - len(lead) - len(parts[p]), gone
+            window = ord(key[0]) in to_frame and ord(key[2]) in to_frame
+            frame = (sign, "".join(key).translate(to_frame)) if window else None
+            block = _FRAME_BLOCKS.get(frame)
+            if block is not None:
+                block = block[0].translate(from_frame), block[1], block[2]
+            else:
+                lead = chr(SEPARATOR_CODE) if key[0] == chr(SEPARATOR_CODE) else ""
+                reduced, seen, gone = reduce_codes(lead + _twist_run(rules, parts, p))
+                block = reduced[len(lead):], seen - len(lead) - len(parts[p]), gone
+                if not block[0]:
+                    return reduce_codes(twist(text, index, sign))
+                if frame and len(_FRAME_BLOCKS) < MAX_BLOCKS:
+                    _FRAME_BLOCKS[frame] = block[0].translate(to_frame), block[1], block[2]
+            blocks[key] = block
         out += (block[0], parts[p + 1])
         visited += block[1]
         deleted += block[2]

@@ -17,6 +17,7 @@ from braidnf.braidword import BraidWord, Letter, permutation_of_word
 from braidnf.errors import InternalStateError
 from braidnf.gbase import (
     GBaseWord,
+    code_link,
     endpoints_permutation,
     format_gbase,
     parse_gbase,
@@ -119,7 +120,9 @@ def test_step_reduces_the_whole_letter_when_a_block_vanishes(monkeypatch, values
     # no list that a word reaches has shown a block that reduces to nothing
     # (CHANGES.md gives the search), so the first block is made to:
     # reduce_codes hands back only the separator that leads it, if any. step
-    # must then reduce the whole letter's twist output, in one more call
+    # must then reduce the whole letter's twist output, in one more call, and
+    # store nothing in the frame table, which starts empty so that the first
+    # block is reduced rather than served from it
     text = process_word(word_from_ints(3, values))[0].text
     expected = {sign: whole_letter(text, 1, sign) for sign in (1, -1)}
     real_reduce, calls = engine.reduce_codes, []
@@ -128,6 +131,7 @@ def test_step_reduces_the_whole_letter_when_a_block_vanishes(monkeypatch, values
         calls.append(unreduced)
         return (lead, 0, 0) if len(calls) == 1 else real_reduce(unreduced)
 
+    monkeypatch.setattr(engine, "_FRAME_BLOCKS", {})
     monkeypatch.setattr(engine, "reduce_codes", reduce_codes)
     for sign, (out, _, visited, deleted) in expected.items():
         calls.clear()
@@ -135,6 +139,7 @@ def test_step_reduces_the_whole_letter_when_a_block_vanishes(monkeypatch, values
         rules = engine._twist_rules(1, sign)
         assert calls[0] == lead + engine._twist_run(rules, rules[0].split(text), 1)
         assert calls[1:] == [engine.twist(text, 1, sign)]
+        assert engine._FRAME_BLOCKS == {}
 
 
 def test_step_falls_back_on_a_list_whose_block_vanishes(monkeypatch):
@@ -156,6 +161,133 @@ def test_step_falls_back_on_a_list_whose_block_vanishes(monkeypatch):
     monkeypatch.setattr(engine, "reduce_codes", reduce_codes)
     assert engine.step(text, 2, 1) == (out, visited, deleted)
     assert calls[-1] == engine.twist(text, 2, 1)
+
+
+def n4_words():
+    """Three 48-letter words at n=4, as (index, sign) pairs: long lists where
+    run blocks repeat within and across letters."""
+    rng = random.Random(25)
+    return [
+        [(rng.randint(1, 3), rng.choice((1, -1))) for _ in range(48)] for _ in range(3)
+    ]
+
+
+def counting_reduce(patch):
+    """Patch engine.reduce_codes to record each text it reduces; returns the
+    list of those texts."""
+    real_reduce, calls = engine.reduce_codes, []
+
+    def reduce_codes(unreduced):
+        calls.append(unreduced)
+        return real_reduce(unreduced)
+
+    patch.setattr(engine, "reduce_codes", reduce_codes)
+    return calls
+
+
+def assert_steps_empty_then_warm(n, letters):
+    """Step each letter from the standard g-base, first with an empty frame
+    table and then with the table that pass filled: each letter is
+    whole_letter's, text and counters, and the second pass reduces nothing."""
+    steps, text = [], standard_gbase(n).text
+    for index, sign in letters:
+        out, _, visited, deleted = whole_letter(text, index, sign)
+        steps.append((text, index, sign, (out, visited, deleted)))
+        text = out
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_FRAME_BLOCKS", {})
+        calls = counting_reduce(patch)
+        for warm in (False, True):
+            calls.clear()
+            for text, index, sign, expected in steps:
+                assert engine.step(text, index, sign) == expected
+            assert len(engine._FRAME_BLOCKS) < engine.MAX_BLOCKS
+            assert not (warm and calls)
+
+
+@settings(max_examples=150, deadline=None)
+@given(braid_words(max_strands=12, max_length=24))
+def test_step_is_the_letter_with_an_empty_and_a_warm_table(word):
+    assert_steps_empty_then_warm(word.strand_count, word.letters)
+
+
+@pytest.mark.parametrize("word", range(3))
+def test_step_is_the_letter_on_long_lists_with_an_empty_and_a_warm_table(word):
+    assert_steps_empty_then_warm(4, n4_words()[word])
+
+
+def test_step_serves_a_block_reduced_at_one_index_at_another(monkeypatch):
+    # the standard g-base's two runs at index 1, (1,0) and (2,0) between
+    # separators, are its runs at every other index in the frame of index 1:
+    # once sigma_1 has reduced them, no other letter reduces a block
+    n = 6
+    text = standard_gbase(n).text
+    expected = {
+        (index, sign): whole_letter(text, index, sign)
+        for index in range(1, n) for sign in (1, -1)
+    }
+    monkeypatch.setattr(engine, "_FRAME_BLOCKS", {})
+    calls = counting_reduce(monkeypatch)
+    for (index, sign), (out, _, visited, deleted) in expected.items():
+        calls.clear()
+        assert engine.step(text, index, sign) == (out, visited, deleted)
+        assert len(calls) == (2 if index == 1 else 0), (index, sign)
+    assert len(engine._FRAME_BLOCKS) == 2 * 2
+
+
+def test_step_stays_exact_when_the_table_is_full(monkeypatch):
+    monkeypatch.setattr(engine, "_FRAME_BLOCKS", {})
+    monkeypatch.setattr(engine, "MAX_BLOCKS", 3)
+    for letters in n4_words():
+        text = standard_gbase(4).text
+        for index, sign in letters:
+            out, _, visited, deleted = whole_letter(text, index, sign)
+            assert engine.step(text, index, sign) == (out, visited, deleted)
+            assert len(engine._FRAME_BLOCKS) <= 3
+            text = out
+    assert len(engine._FRAME_BLOCKS) == 3
+
+
+def frame_keys(text, index, sign):
+    """The frame keys step may store for a letter: (sign, key) for each run
+    whose neighbours are separators or lie at points i-1..i+2, the key being
+    the link before, the run and the link after with every code but the
+    separator's shifted down by 3(i-1); and the number of runs with a
+    neighbour outside those points."""
+    separator, shift = chr(1), 3 * (index - 1)
+    keys, outside = set(), 0
+    parts = engine._twist_rules(index, sign)[0].split(text)
+    for p in range(1, len(parts), 2):
+        key = parts[p - 1][-1] + parts[p] + parts[p + 1][0]
+        if all(c == separator or index - 1 <= code_link(ord(c)).point <= index + 2
+               for c in (key[0], key[-1])):
+            keys.add((sign, "".join(c if c == separator else chr(ord(c) - shift) for c in key)))
+        else:
+            outside += 1
+    return keys, outside
+
+
+def test_step_stores_no_block_with_a_neighbour_outside_the_window(monkeypatch):
+    # reduced lists that no word need reach, where the link before or after
+    # a run may lie anywhere: step stays exact with the table shared by all
+    # of them, and stores only the blocks whose neighbours lie in the window
+    monkeypatch.setattr(engine, "_FRAME_BLOCKS", {})
+    outside = 0
+    for seed in range(400):
+        gbase = random_valid_gbase(random.Random(seed))
+        text = engine.reduce_codes(gbase.text)[0]
+        for index in range(1, gbase.strand_count):
+            for sign in (1, -1):
+                try:
+                    out, _, visited, deleted = whole_letter(text, index, sign)
+                except InternalStateError:
+                    continue
+                before = set(engine._FRAME_BLOCKS)
+                assert engine.step(text, index, sign) == (out, visited, deleted)
+                keys, skipped = frame_keys(text, index, sign)
+                assert set(engine._FRAME_BLOCKS) - before <= keys
+                outside += skipped
+    assert outside > 500
 
 
 def two_pass(n, text, index, sign):
