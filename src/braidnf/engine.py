@@ -245,15 +245,12 @@ def step(text: str, index: int, sign: int) -> tuple[str, int, int]:
     nothing would bring its two neighbours together, so then the whole
     letter is reduced instead.
 
-    A block whose neighbours are separators or lie at points i-1..i+2 holds
-    only codes of those points and the separator. Shifting them by 3(i-1)
-    turns _twist_rules(i, sign) into _twist_rules(1, sign), and reduce_codes
-    compares codes only for equality, point, position and the separator, so
-    the reduced block, shifted back, and its counters do not depend on i.
-    Such a block, on its first miss in a call, is looked up by sign and
-    frame key in _FRAME_BLOCKS, a memo of that pure function shared by
-    every call, and stored there once reduced. A block that raises or
-    vanishes is never stored.
+    A block whose neighbours are separators or lie at points i-1..i+2 is
+    also looked up, by sign and its key shifted into the frame of index 1,
+    in _FRAME_BLOCKS, shared by every call: shifting the codes of those
+    points by 3(i-1) turns _twist_rules(i, sign) into _twist_rules(1, sign),
+    and reduce_codes compares codes only for equality, point, position and
+    the separator. A block that raises or vanishes is never stored.
     """
     rules = _twist_rules(index, sign)
     to_frame, from_frame = rules[7:]

@@ -7,6 +7,8 @@ must give that letter exactly, text and counters, on all of these lists and
 on long ones where run blocks repeat."""
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -185,15 +187,22 @@ def counting_reduce(patch):
     return calls
 
 
-def assert_steps_empty_then_warm(n, letters):
-    """Step each letter from the standard g-base, first with an empty frame
-    table and then with the table that pass filled: each letter is
-    whole_letter's, text and counters, and the second pass reduces nothing."""
+def letter_steps(n, letters):
+    """(text, index, sign, expected step result) for each letter of a word
+    applied from the standard g-base, expected from whole_letter."""
     steps, text = [], standard_gbase(n).text
     for index, sign in letters:
         out, _, visited, deleted = whole_letter(text, index, sign)
         steps.append((text, index, sign, (out, visited, deleted)))
         text = out
+    return steps
+
+
+def assert_steps_empty_then_warm(n, letters):
+    """Step each letter from the standard g-base, first with an empty frame
+    table and then with the table that pass filled: each letter is
+    whole_letter's, text and counters, and the second pass reduces nothing."""
+    steps = letter_steps(n, letters)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "_FRAME_BLOCKS", {})
         calls = counting_reduce(patch)
@@ -239,13 +248,38 @@ def test_step_stays_exact_when_the_table_is_full(monkeypatch):
     monkeypatch.setattr(engine, "_FRAME_BLOCKS", {})
     monkeypatch.setattr(engine, "MAX_BLOCKS", 3)
     for letters in n4_words():
-        text = standard_gbase(4).text
-        for index, sign in letters:
-            out, _, visited, deleted = whole_letter(text, index, sign)
-            assert engine.step(text, index, sign) == (out, visited, deleted)
+        for text, index, sign, expected in letter_steps(4, letters):
+            assert engine.step(text, index, sign) == expected
             assert len(engine._FRAME_BLOCKS) <= 3
-            text = out
     assert len(engine._FRAME_BLOCKS) == 3
+
+
+def test_step_stays_exact_when_threads_share_the_table(monkeypatch):
+    # threads that fill one table at once, switched every microsecond so
+    # that they interleave inside step, each get every letter exactly; a
+    # thread checks the size before it inserts, so each can push the table
+    # at most one entry past MAX_BLOCKS
+    steps = [step for letters in n4_words() for step in letter_steps(4, letters)]
+    monkeypatch.setattr(engine, "_FRAME_BLOCKS", {})
+    monkeypatch.setattr(engine, "MAX_BLOCKS", 64)
+    wrong = []
+
+    def work():
+        wrong.extend(step for step in steps if engine.step(*step[:3]) != step[3])
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert 64 <= len(engine._FRAME_BLOCKS) <= 64 + len(threads)
 
 
 def frame_keys(text, index, sign):
